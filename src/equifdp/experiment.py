@@ -2,8 +2,8 @@
 
 A run draws R independent samples (replicate r always uses stream_id
 ``stream_offset + r``, so results never depend on how work is split across
-workers), applies the configured procedure, and aggregates the scaled FDP
-deviations a_m * (FDP - center) against the predicted normal law:
+workers or blocks), applies the configured procedure, and aggregates the
+scaled FDP deviations a_m * (FDP - center) against the predicted normal law:
 
 * variance calibration: sample variance of the scaled deviations vs. the
   theory variance, with a moment-based Monte Carlo standard error;
@@ -14,6 +14,11 @@ deviations a_m * (FDP - center) against the predicted normal law:
 Raw FDP moments are always reported; theory fields are absent when no
 regime is declared or when the declared regime has no normal limit (fixed
 rho without the oracle transform).
+
+Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
+(B, m) array is drawn (row i from its own stream), rescaled in oracle mode,
+turned into p-values once, and thresholded and tallied row by row.  The run
+and the e.c.d.f. covariance probe share this block draw.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ from .model import (
     RhoSequence,
     RngStream,
     ThetaOverM,
-    ecdf_triple,
-    sample,
+    draw_block,
+    p_values,
 )
-from .oracle import OracleParams, transform
-from .procedures import BH, FixedThreshold, ThresholdProcedure, apply_procedure
+from .oracle import OracleParams, rescale
+from .procedures import BH, FixedThreshold, ThresholdProcedure, apply_procedure_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -63,6 +68,18 @@ __all__ = [
 KS_CRIT_1PCT = 1.63
 
 _MIN_DIAGNOSTIC_R = 100
+
+# float64 elements per block array: about 128 KB, so a block stays in cache
+# and peak memory does not grow with R
+_BLOCK_ELEMS = 16384
+
+
+def _block_rows(m: int) -> int:
+    return max(1, _BLOCK_ELEMS // m)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -88,8 +105,9 @@ class ExperimentConfig:
     m_grid: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ParameterError(f"replicates must be >= 1, got {self.replicates!r}")
+        if not _is_int(self.replicates) or self.replicates < 1:
+            raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        RngStream(self.seed)  # raises ParameterError unless a 64-bit unsigned integer
         base = self.base_params
         if isinstance(self.params, OracleParams) and self.rho_seq is not None:
             raise ParameterError("oracle mode fixes the regime; leave rho_seq unset")
@@ -149,12 +167,20 @@ def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
-def _replicate_fdp(config: ExperimentConfig, stream_id: int):
-    s = sample(config.base_params, RngStream(config.seed, stream_id))
-    if config.oracle_mode:
-        s = transform(s, config.params)
-    res = apply_procedure(config.procedure, s)
-    return res.fdp, res.threshold, res.rejected, res.false_rejections
+def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
+    """Fill the per-replicate arrays `out` (threshold, rejected,
+    false_rejections, fdp), row r from stream first_stream + r, block by
+    block."""
+    base = config.base_params
+    n, step = out[0].shape[0], _block_rows(base.m)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        x = draw_block(base, config.seed, first_stream + lo, hi - lo)
+        if config.oracle_mode:
+            x = rescale(x, config.params)
+        rows = apply_procedure_rows(config.procedure, p_values(x), base.tau)
+        for dst, src in zip(out, rows):
+            dst[lo:hi] = src
 
 
 def _law_for(config: ExperimentConfig) -> tuple[Optional[AsymptoticLaw], list[str]]:
@@ -185,28 +211,27 @@ def _scale_factor(config: ExperimentConfig) -> Optional[float]:
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
     """Execute the replicated experiment; deterministic given config alone.
 
-    `workers` threads split the replicate range; every replicate owns its own
-    stream, and aggregation folds in replicate index order, so the summary is
-    bit-identical for any worker count.
+    `workers` threads split the replicate range into contiguous chunks, and
+    each fills its chunk block by block (see the module docstring); an
+    integer `workers` <= 1 runs in the calling thread.  Every replicate owns
+    its own stream, and aggregation folds in replicate index order, so the
+    summary is bit-identical for any worker count and block size.
     """
+    if not _is_int(workers):
+        raise ParameterError(f"workers must be an integer, got {workers!r}")
     R = config.replicates
-    fdp = np.empty(R)
-    thresholds = np.empty(R)
-    rejected = np.empty(R, dtype=np.int64)
-    false_rej = np.empty(R, dtype=np.int64)
+    out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
+    thresholds, rejected, false_rej, fdp = out
 
-    def fill(indices):
-        for r in indices:
-            fdp[r], thresholds[r], rejected[r], false_rej[r] = _replicate_fdp(
-                config, stream_offset + r
-            )
+    def fill(lo, hi):
+        _fill_replicates(config, stream_offset + lo, [a[lo:hi] for a in out])
 
     if workers <= 1:
-        fill(range(R))
+        fill(0, R)
     else:
-        chunks = np.array_split(np.arange(R), workers)
+        edges = [R * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, chunks))
+            list(pool.map(fill, edges[:-1], edges[1:]))
 
     law, warnings = _law_for(config)
     a_m = _scale_factor(config)
@@ -345,22 +370,34 @@ def ecdf_covariance_probe(
     """Empirical covariances of sqrt(m) * (group e.c.d.f. - group c.d.f.)
     at the given thresholds, over independent replicates.
 
-    Reports empirical numbers only; the matching theory kernels live in
+    Replicate r uses stream (seed, stream_offset + r), drawn in the same
+    blocks as :func:`run`; each group e.c.d.f. is the count #{p <= g} over
+    the group's columns divided by the group size.  Reports empirical
+    numbers only; the matching theory kernels live in
     :func:`equifdp.asymptotics.ecdf_limit_cov`.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ParameterError("grid must be a nonempty 1-d array inside (0, 1)")
+    if not _is_int(replicates) or replicates < 2:
+        raise ParameterError(
+            f"replicates must be an integer >= 2 for a covariance, got {replicates!r}"
+        )
     cdf = MixtureCdf(params.pi0, params.mu)
     g1 = np.asarray(cdf.alt_cdf(grid))
+    m0 = params.m0
+    counts0 = np.empty((replicates, grid.size), dtype=np.int64)
+    counts1 = np.empty((replicates, grid.size), dtype=np.int64)
+    step = _block_rows(params.m)
+    for lo in range(0, replicates, step):
+        hi = min(lo + step, replicates)
+        p = p_values(draw_block(params, seed, stream_offset + lo, hi - lo))
+        for j, g in enumerate(grid):
+            counts0[lo:hi, j] = np.count_nonzero(p[:, :m0] <= g, axis=1)
+            counts1[lo:hi, j] = np.count_nonzero(p[:, m0:] <= g, axis=1)
     root_m = math.sqrt(params.m)
-    dev0 = np.empty((replicates, grid.size))
-    dev1 = np.empty((replicates, grid.size))
-    for r in range(replicates):
-        s = sample(params, RngStream(seed, stream_offset + r))
-        null_ecdf, alt_ecdf, _ = ecdf_triple(s)
-        dev0[r] = root_m * (null_ecdf(grid) - grid)
-        dev1[r] = root_m * (alt_ecdf(grid) - g1)
+    dev0 = root_m * (counts0 / m0 - grid)
+    dev1 = root_m * (counts1 / (params.m - m0) - g1)
     return ProbeResult(
         grid=grid,
         dev_null=dev0,

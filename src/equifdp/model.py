@@ -39,6 +39,8 @@ __all__ = [
     "FixedRho",
     "RhoSequence",
     "sample",
+    "draw_block",
+    "p_values",
     "ecdf_triple",
     "write_sample_csv",
 ]
@@ -90,6 +92,12 @@ class ModelParams:
     def m0(self) -> int:
         """Number of true nulls, floor(m * pi0)."""
         return int(math.floor(self.m * self.pi0))
+
+    @property
+    def tau(self) -> np.ndarray:
+        """Truth labels of a sample: False for the m0 nulls at indices
+        0..m0-1, True for the alternatives after them."""
+        return np.arange(self.m) >= self.m0
 
 
 @dataclass(frozen=True)
@@ -193,31 +201,48 @@ RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]
 # --- sampling ----------------------------------------------------------------
 
 
-def sample(params: ModelParams, stream: RngStream) -> Sample:
-    """Draw one instance of the model using the exchangeable factor form.
+def draw_block(params: ModelParams, seed: int, first: int, count: int) -> np.ndarray:
+    """Statistics of `count` instances of the model, one per row of a
+    (count, m) array; row i is drawn from stream (seed, first + i).
 
-    Draw order is fixed as part of the reproducibility contract: m variates
-    for xi, then one for the common factor U.  p-values that would round to
-    exactly 0 or 1 are clamped to the nearest interior float so downstream
-    quantile transforms stay defined.
+    Draw order is fixed as part of the reproducibility contract: each stream
+    gives m variates for xi, then one for the common factor U.  A row is the
+    same bit for bit whatever block it is drawn in.
     """
-    rng = stream.generator()
     m, rho = params.m, params.rho
-    xi = rng.standard_normal(m)
-    u = rng.standard_normal()
-
-    tau = np.zeros(m, dtype=bool)
-    tau[params.m0 :] = True
+    x = np.empty((count, m))
+    u = np.empty((count, 1))
+    for i, row in enumerate(x):
+        rng = RngStream(seed, first + i).generator()
+        rng.standard_normal(out=row)
+        u[i] = rng.standard_normal()
 
     # inner term of the common-factor coefficient can round slightly negative
     # at the boundary rho = -1/(m-1)
     common_var = max(0.0, (1.0 + (m - 1) * rho) / m)
-    x = np.sqrt(1.0 - rho) * (xi - xi.mean()) + np.sqrt(common_var) * u
-    x[tau] += params.mu
+    x -= x.mean(axis=1, keepdims=True)
+    x *= np.sqrt(1.0 - rho)
+    x += np.sqrt(common_var) * u
+    x[:, params.m0 :] += params.mu
+    return x
 
+
+def p_values(x: np.ndarray) -> np.ndarray:
+    """One-sided p-values P(Z >= x) of statistics of any shape.
+
+    p-values that would round to exactly 0 or 1 are clamped to the nearest
+    interior float so downstream quantile transforms stay defined.
+    """
     p = phi_upper(x)
     np.clip(p, _P_MIN, _P_MAX, out=p)
-    return Sample(tau=tau, x=x, p=p)
+    return p
+
+
+def sample(params: ModelParams, stream: RngStream) -> Sample:
+    """Draw one instance of the model using the exchangeable factor form:
+    row 0 of :func:`draw_block` from `stream`, with its p-values."""
+    x = draw_block(params, stream.seed, stream.stream_id, 1)[0]
+    return Sample(tau=params.tau, x=x, p=p_values(x))
 
 
 # --- empirical c.d.f.'s -------------------------------------------------------

@@ -21,14 +21,10 @@ import numpy as np
 
 from .asymptotics import AsymptoticLaw, MixtureCdf, asymptotic_law, bh_fixed_point
 from .errors import ParameterError
-from .gaussian import phi_upper
-from .model import ModelParams, Sample, ThetaOverM
+from .model import ModelParams, Sample, ThetaOverM, p_values
 from .procedures import BH
 
-__all__ = ["OracleParams", "transform", "t_star_rho", "oracle_law"]
-
-_P_MIN = np.nextafter(0.0, 1.0)
-_P_MAX = np.nextafter(1.0, 0.0)
+__all__ = ["OracleParams", "rescale", "transform", "t_star_rho", "oracle_law"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,13 @@ class OracleParams:
         return float(np.sqrt(m / ((m - 1) * (1.0 - self.base.rho))))
 
 
+def rescale(x: np.ndarray, params: OracleParams) -> np.ndarray:
+    """The oracle rescaling of statistics drawn from the base model, applied
+    along the last axis, so a (B, m) block rescales row by row."""
+    base = params.base
+    return params.scale * (x - x.mean(axis=-1, keepdims=True) + (1.0 - base.pi0) * base.mu)
+
+
 def transform(s: Sample, params: OracleParams) -> Sample:
     """Rescale a sample drawn from the base model; truth labels are kept.
 
@@ -70,10 +73,8 @@ def transform(s: Sample, params: OracleParams) -> Sample:
         raise ParameterError(
             f"sample has m={s.m} but params specify m={params.base.m}"
         )
-    x_t = params.scale * (s.x - s.x.mean() + (1.0 - params.base.pi0) * params.base.mu)
-    p_t = phi_upper(x_t)
-    np.clip(p_t, _P_MIN, _P_MAX, out=p_t)
-    return Sample(tau=s.tau, x=x_t, p=p_t)
+    x_t = rescale(s.x, params)
+    return Sample(tau=s.tau, x=x_t, p=p_values(x_t))
 
 
 def t_star_rho(base: ModelParams, alpha: float) -> float:

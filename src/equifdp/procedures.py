@@ -24,6 +24,7 @@ __all__ = [
     "RejectionResult",
     "bh_threshold",
     "apply_procedure",
+    "apply_procedure_rows",
     "fdp_at",
 ]
 
@@ -67,6 +68,16 @@ class RejectionResult:
     fdp: float
 
 
+def _bh_thresholds(p: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise step-up over a (B, m) array: alpha * k / m per row, with
+    k = max{i : p_(i) <= i*alpha/m}, or 0.0 where no order statistic clears
+    its line."""
+    m = p.shape[1]
+    below = np.sort(p, axis=1) <= alpha * np.arange(1, m + 1) / m
+    k = np.where(below.any(axis=1), m - np.argmax(below[:, ::-1], axis=1), 0)
+    return alpha * k / m
+
+
 def bh_threshold(p: np.ndarray, alpha: float) -> float:
     """Data-driven BH threshold alpha * k / m, k = max{i : p_(i) <= i*alpha/m}.
 
@@ -79,34 +90,41 @@ def bh_threshold(p: np.ndarray, alpha: float) -> float:
         raise ParameterError("p-value vector must be nonempty")
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = p.size
-    p_sorted = np.sort(p)
-    below = p_sorted <= alpha * np.arange(1, m + 1) / m
-    if not below.any():
-        return 0.0
-    k = int(np.nonzero(below)[0][-1]) + 1
-    return alpha * k / m
+    return float(_bh_thresholds(p.reshape(1, -1), alpha)[0])
 
 
-def _count_rejections(s: Sample, threshold: float) -> tuple[int, int]:
-    rejected_mask = s.p <= threshold  # ties at the threshold are rejected
-    rejected = int(np.count_nonzero(rejected_mask))
-    false_rej = int(np.count_nonzero(rejected_mask & ~s.tau))
-    return rejected, false_rej
+def apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.ndarray):
+    """Run a procedure on every row of a (B, m) p-value array whose columns
+    carry the truth labels `tau`.
+
+    Returns the per-row arrays (threshold, rejected, false_rejections, fdp);
+    ties at the threshold are rejected, and a row without rejections has
+    FDP 0.
+    """
+    if isinstance(procedure, BH):
+        thresholds = _bh_thresholds(p, procedure.alpha)
+    elif isinstance(procedure, FixedThreshold):
+        thresholds = np.full(p.shape[0], procedure.t)
+    else:
+        raise ParameterError(f"unknown procedure {procedure!r}")
+    return (thresholds, *_tally_rows(p, tau, thresholds))
+
+
+def _tally_rows(p: np.ndarray, tau: np.ndarray, thresholds: np.ndarray):
+    rejected_mask = p <= thresholds[:, None]  # ties at the threshold are rejected
+    rejected = np.count_nonzero(rejected_mask, axis=1)
+    false_rej = np.count_nonzero(rejected_mask & ~tau, axis=1)
+    return rejected, false_rej, false_rej / np.maximum(rejected, 1)
 
 
 def apply_procedure(procedure: ThresholdProcedure, s: Sample) -> RejectionResult:
     """Run a procedure on a sample and tally the realized FDP."""
-    if isinstance(procedure, BH):
-        threshold = bh_threshold(s.p, procedure.alpha)
-    elif isinstance(procedure, FixedThreshold):
-        threshold = procedure.t
-    else:
-        raise ParameterError(f"unknown procedure {procedure!r}")
-    rejected, false_rej = _count_rejections(s, threshold)
-    fdp = false_rej / max(rejected, 1)
+    threshold, rejected, false_rej, fdp = apply_procedure_rows(procedure, s.p[None, :], s.tau)
     return RejectionResult(
-        threshold=threshold, rejected=rejected, false_rejections=false_rej, fdp=fdp
+        threshold=float(threshold[0]),
+        rejected=int(rejected[0]),
+        false_rejections=int(false_rej[0]),
+        fdp=float(fdp[0]),
     )
 
 
@@ -114,5 +132,5 @@ def fdp_at(s: Sample, t: float) -> float:
     """False discovery proportion of the rejection set {i : p_i <= t}."""
     if not (0.0 <= t <= 1.0):
         raise ParameterError(f"t must lie in [0, 1], got {t!r}")
-    rejected, false_rej = _count_rejections(s, t)
-    return false_rej / max(rejected, 1)
+    _, _, fdp = _tally_rows(s.p[None, :], s.tau, np.array([t]))
+    return float(fdp[0])
