@@ -43,11 +43,12 @@ from .model import (
     RhoSequence,
     RngStream,
     ThetaOverM,
-    draw_block,
-    p_values,
+    _draw_block,
+    _p_values,
+    _truth_labels,
 )
-from .oracle import OracleParams, rescale
-from .procedures import BH, FixedThreshold, ThresholdProcedure, apply_procedure_rows
+from .oracle import OracleParams, _rescale
+from .procedures import BH, FixedThreshold, ThresholdProcedure, _apply_procedure_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -175,10 +176,10 @@ def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
     n, step = out[0].shape[0], _block_rows(base.m)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        x = draw_block(base, config.seed, first_stream + lo, hi - lo)
+        x = _draw_block(base, config.seed, first_stream + lo, hi - lo)
         if config.oracle_mode:
-            x = rescale(x, config.params)
-        rows = apply_procedure_rows(config.procedure, p_values(x), base.tau)
+            x = _rescale(x, config.params)
+        rows = _apply_procedure_rows(config.procedure, _p_values(x), _truth_labels(base))
         for dst, src in zip(out, rows):
             dst[lo:hi] = src
 
@@ -391,7 +392,7 @@ def ecdf_covariance_probe(
     step = _block_rows(params.m)
     for lo in range(0, replicates, step):
         hi = min(lo + step, replicates)
-        p = p_values(draw_block(params, seed, stream_offset + lo, hi - lo))
+        p = _p_values(_draw_block(params, seed, stream_offset + lo, hi - lo))
         for j, g in enumerate(grid):
             counts0[lo:hi, j] = np.count_nonzero(p[:, :m0] <= g, axis=1)
             counts1[lo:hi, j] = np.count_nonzero(p[:, m0:] <= g, axis=1)

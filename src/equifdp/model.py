@@ -39,8 +39,6 @@ __all__ = [
     "FixedRho",
     "RhoSequence",
     "sample",
-    "draw_block",
-    "p_values",
     "ecdf_triple",
     "write_sample_csv",
 ]
@@ -92,12 +90,6 @@ class ModelParams:
     def m0(self) -> int:
         """Number of true nulls, floor(m * pi0)."""
         return int(math.floor(self.m * self.pi0))
-
-    @property
-    def tau(self) -> np.ndarray:
-        """Truth labels of a sample: False for the m0 nulls at indices
-        0..m0-1, True for the alternatives after them."""
-        return np.arange(self.m) >= self.m0
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,13 @@ RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]
 # --- sampling ----------------------------------------------------------------
 
 
-def draw_block(params: ModelParams, seed: int, first: int, count: int) -> np.ndarray:
+def _truth_labels(params: ModelParams) -> np.ndarray:
+    """False for the m0 nulls at indices 0..m0-1, True for the alternatives
+    after them."""
+    return np.arange(params.m) >= params.m0
+
+
+def _draw_block(params: ModelParams, seed: int, first: int, count: int) -> np.ndarray:
     """Statistics of `count` instances of the model, one per row of a
     (count, m) array; row i is drawn from stream (seed, first + i).
 
@@ -227,7 +225,7 @@ def draw_block(params: ModelParams, seed: int, first: int, count: int) -> np.nda
     return x
 
 
-def p_values(x: np.ndarray) -> np.ndarray:
+def _p_values(x: np.ndarray) -> np.ndarray:
     """One-sided p-values P(Z >= x) of statistics of any shape.
 
     p-values that would round to exactly 0 or 1 are clamped to the nearest
@@ -240,9 +238,9 @@ def p_values(x: np.ndarray) -> np.ndarray:
 
 def sample(params: ModelParams, stream: RngStream) -> Sample:
     """Draw one instance of the model using the exchangeable factor form:
-    row 0 of :func:`draw_block` from `stream`, with its p-values."""
-    x = draw_block(params, stream.seed, stream.stream_id, 1)[0]
-    return Sample(tau=params.tau, x=x, p=p_values(x))
+    row 0 of :func:`_draw_block` from `stream`, with its p-values."""
+    x = _draw_block(params, stream.seed, stream.stream_id, 1)[0]
+    return Sample(tau=_truth_labels(params), x=x, p=_p_values(x))
 
 
 # --- empirical c.d.f.'s -------------------------------------------------------

@@ -21,10 +21,10 @@ import numpy as np
 
 from .asymptotics import AsymptoticLaw, MixtureCdf, asymptotic_law, bh_fixed_point
 from .errors import ParameterError
-from .model import ModelParams, Sample, ThetaOverM, p_values
+from .model import ModelParams, Sample, ThetaOverM, _p_values
 from .procedures import BH
 
-__all__ = ["OracleParams", "rescale", "transform", "t_star_rho", "oracle_law"]
+__all__ = ["OracleParams", "transform", "t_star_rho", "oracle_law"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class OracleParams:
         return float(np.sqrt(m / ((m - 1) * (1.0 - self.base.rho))))
 
 
-def rescale(x: np.ndarray, params: OracleParams) -> np.ndarray:
+def _rescale(x: np.ndarray, params: OracleParams) -> np.ndarray:
     """The oracle rescaling of statistics drawn from the base model, applied
     along the last axis, so a (B, m) block rescales row by row."""
     base = params.base
@@ -73,8 +73,8 @@ def transform(s: Sample, params: OracleParams) -> Sample:
         raise ParameterError(
             f"sample has m={s.m} but params specify m={params.base.m}"
         )
-    x_t = rescale(s.x, params)
-    return Sample(tau=s.tau, x=x_t, p=p_values(x_t))
+    x_t = _rescale(s.x, params)
+    return Sample(tau=s.tau, x=x_t, p=_p_values(x_t))
 
 
 def t_star_rho(base: ModelParams, alpha: float) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "RejectionResult",
     "bh_threshold",
     "apply_procedure",
-    "apply_procedure_rows",
     "fdp_at",
 ]
 
@@ -93,7 +92,7 @@ def bh_threshold(p: np.ndarray, alpha: float) -> float:
     return float(_bh_thresholds(p.reshape(1, -1), alpha)[0])
 
 
-def apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.ndarray):
+def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.ndarray):
     """Run a procedure on every row of a (B, m) p-value array whose columns
     carry the truth labels `tau`.
 
@@ -119,7 +118,7 @@ def _tally_rows(p: np.ndarray, tau: np.ndarray, thresholds: np.ndarray):
 
 def apply_procedure(procedure: ThresholdProcedure, s: Sample) -> RejectionResult:
     """Run a procedure on a sample and tally the realized FDP."""
-    threshold, rejected, false_rej, fdp = apply_procedure_rows(procedure, s.p[None, :], s.tau)
+    threshold, rejected, false_rej, fdp = _apply_procedure_rows(procedure, s.p[None, :], s.tau)
     return RejectionResult(
         threshold=float(threshold[0]),
         rejected=int(rejected[0]),
