@@ -36,19 +36,13 @@ from .procedures import (
     fdp_at,
 )
 from .asymptotics import (
-    EMPTY_MEASURE,
     AsymptoticLaw,
-    AtomicMeasure,
     MixtureCdf,
     asymptotic_law,
     bh_fixed_point,
-    bh_threshold_derivative,
-    disturbance_coef,
     ecdf_limit_cov,
-    ecdf_variance,
-    fluctuation_measures,
-    limit_cov,
-    threshold_derivative,
+    fluctuation_weights,
+    variance_components,
 )
 from .oracle import OracleParams, oracle_law, t_star_rho, transform
 from .experiment import (
@@ -101,17 +95,11 @@ __all__ = [
     "fdp_at",
     # asymptotics
     "MixtureCdf",
-    "AtomicMeasure",
-    "EMPTY_MEASURE",
     "AsymptoticLaw",
     "bh_fixed_point",
-    "bh_threshold_derivative",
-    "threshold_derivative",
-    "fluctuation_measures",
-    "disturbance_coef",
-    "ecdf_variance",
+    "fluctuation_weights",
+    "variance_components",
     "asymptotic_law",
-    "limit_cov",
     "ecdf_limit_cov",
     # oracle
     "OracleParams",

@@ -8,21 +8,23 @@ Contents:
   limiting FDP curve pi0 * t / G(t).
 * :func:`bh_fixed_point` -- the unique t* in (0, 1) with G(t*) = t* / alpha,
   the almost-sure limit of the BH threshold.
-* Finite signed atomic measures (:class:`AtomicMeasure`) representing the
-  derivative of a threshold functional at G and the two linear functionals
-  that map e.c.d.f. fluctuations into FDP fluctuations.
-* :func:`disturbance_coef` and :func:`ecdf_variance` -- the two variance
-  components of the limiting normal law, and :func:`asymptotic_law` putting
-  them together per correlation regime:
+* :func:`fluctuation_weights` -- the FDP fluctuation is a linear functional
+  of the two group e.c.d.f. fluctuations, and for BH and a fixed threshold
+  both functionals are point masses at t*, with weights z0 and z1.
+* :func:`variance_components` -- the two variance components of the
+  limiting normal law as scalar formulas in z0 and z1, and
+  :func:`asymptotic_law` putting them together per correlation regime:
 
       m * rho_m -> theta finite:   sqrt(m) * (FDP - center)        -> N(0, sigma2 + theta * c**2)
       m * rho_m -> inf, rho_m -> 0: rho_m**-0.5 * (FDP - center)   -> N(0, c**2)
 
-* Covariance kernels of the limiting processes (:func:`limit_cov`,
-  :func:`ecdf_limit_cov`), used as oracles by the empirical-process tests.
+* :func:`ecdf_limit_cov` -- the covariance kernel of the limiting group
+  e.c.d.f. processes, used as an oracle by the empirical-process tests.
 
-All integrals against the derivative measures are finite sums over atoms, so
-every quantity here is exact up to special-function accuracy; nothing is
+The procedure (``BH``, ``FixedThreshold``) supplies t* and the derivative
+weight of its threshold functional, and the regime (``ThetaOverM``,
+``PowerLaw``) its name, rate and variance; this module knows neither type.
+Every quantity here is exact up to special-function accuracy; nothing is
 estimated by quadrature.
 """
 
@@ -35,36 +37,21 @@ from typing import Optional
 import numpy as np
 from scipy import optimize
 
-from .errors import (
-    BracketingError,
-    DegenerateCrossingError,
-    EquifdpError,
-    ParameterError,
-    RegimeError,
-)
+from .errors import BracketingError, ParameterError, RegimeError
 from .gaussian import phi_upper, phi_upper_inv, std_normal_density
-from .model import FixedRho, PowerLaw, RhoSequence, ThetaOverM
-from .procedures import BH, FixedThreshold, ThresholdProcedure
 
 __all__ = [
     "MixtureCdf",
-    "AtomicMeasure",
-    "EMPTY_MEASURE",
     "AsymptoticLaw",
     "bh_fixed_point",
-    "threshold_derivative",
-    "bh_threshold_derivative",
-    "fluctuation_measures",
-    "disturbance_coef",
-    "ecdf_variance",
+    "fluctuation_weights",
+    "variance_components",
     "asymptotic_law",
-    "limit_cov",
     "ecdf_limit_cov",
 ]
 
 _ROOT_RTOL = 4 * np.finfo(float).eps
 _RESIDUAL_TOL = 1e-12
-_ATOM_MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,151 +157,59 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     return root
 
 
-# --- finite signed atomic measures -------------------------------------------
+# --- point-mass weights and the two variance components ---------------------
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finite signed measure sum_j w_j * delta_{t_j} with atoms in (0, 1).
-
-    Integration against any function is the exact finite sum over atoms.
-    Atoms closer than 1e-12 in location are merged by adding weights (the
-    two fluctuation measures legitimately stack atoms at the same point).
-    """
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        merged: list[list[float]] = []
-        for loc, w in sorted((float(loc), float(w)) for loc, w in self.atoms):
-            if not (0.0 < loc < 1.0):
-                raise ParameterError(f"atom location must lie in (0, 1), got {loc!r}")
-            if merged and abs(loc - merged[-1][0]) < _ATOM_MERGE_TOL:
-                merged[-1][1] += w
-            else:
-                merged.append([loc, w])
-        object.__setattr__(self, "atoms", tuple((loc, w) for loc, w in merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.atoms) == 0
-
-    def locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.atoms])
-
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
-
-    def integrate(self, f) -> float:
-        """Integral of f against the measure: sum_j w_j * f(t_j)."""
-        return float(sum(w * f(loc) for loc, w in self.atoms))
-
-    def scaled(self, c: float) -> "AtomicMeasure":
-        return AtomicMeasure(tuple((loc, c * w) for loc, w in self.atoms))
-
-    def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return AtomicMeasure(self.atoms + other.atoms)
-
-
-EMPTY_MEASURE = AtomicMeasure(())
-
-
-def bh_threshold_derivative(cdf: MixtureCdf, alpha: float) -> AtomicMeasure:
-    """Derivative of the BH threshold functional at G: a single point mass at
-    t* with weight 1 / (1/alpha - dG(t*)).
-
-    The weight denominator is positive when G crosses the line t/alpha
-    transversally; a nonpositive value means the crossing is tangential and
-    the derivative does not exist (:class:`DegenerateCrossingError`).
-    """
-    t_star = bh_fixed_point(cdf, alpha)
-    denom = 1.0 / alpha - cdf.derivative(t_star)
-    if denom <= 0.0:
-        raise DegenerateCrossingError(
-            f"tangential crossing at t*={t_star!r}: 1/alpha - dG(t*) = {denom!r} <= 0"
-        )
-    return AtomicMeasure(((t_star, 1.0 / denom),))
-
-
-def threshold_derivative(cdf: MixtureCdf, procedure: ThresholdProcedure) -> AtomicMeasure:
-    """Derivative measure of a procedure's threshold functional at G.
-
-    BH gives the point mass of :func:`bh_threshold_derivative`; a fixed
-    threshold is constant in G, so its derivative is the zero measure.
-    """
-    if isinstance(procedure, BH):
-        return bh_threshold_derivative(cdf, procedure.alpha)
-    if isinstance(procedure, FixedThreshold):
-        return EMPTY_MEASURE
-    raise ParameterError(f"unknown procedure {procedure!r}")
-
-
-def fluctuation_measures(
-    cdf: MixtureCdf, t_star: float, t_deriv: AtomicMeasure
-) -> tuple[AtomicMeasure, AtomicMeasure]:
-    """The two signed measures sending the limiting e.c.d.f. fluctuation
-    processes (null group, alternative group) to the FDP fluctuation.
+def fluctuation_weights(
+    cdf: MixtureCdf, t_star: float, t_dot: Optional[float] = None
+) -> tuple[float, float]:
+    """Weights (z0, z1) of the point masses at t* that send the limiting
+    e.c.d.f. fluctuations of the null and the alternative group to the FDP
+    fluctuation.
 
     With q(t) = pi0*t/G(t) and w = q(t*) * (1 - q(t*)):
 
-        zeta0 = (w / t*) delta_{t*}      + q'(t*) * pi0       * Tdot
-        zeta1 = -(w / G1(t*)) delta_{t*} + q'(t*) * (1 - pi0) * Tdot
+        z0 =  w / t*     + q'(t*) * pi0       * Tdot
+        z1 = -w / G1(t*) + q'(t*) * (1 - pi0) * Tdot
 
-    where Tdot is the threshold derivative measure.  For BH the two parts of
-    zeta1 cancel exactly and zeta0 collapses to (pi0*alpha/t*) delta_{t*}.
+    where Tdot (`t_dot`) is the weight of the threshold functional's
+    derivative, itself a point mass at t*.  A fixed threshold is constant in
+    G and passes None: it adds no Tdot term, and q' (whose G**2 underflows
+    for thresholds near 0) is not evaluated.  For BH the two parts of z1
+    cancel exactly and z0 collapses to pi0*alpha/t*.
     """
     if not (0.0 < t_star < 1.0):
         raise ParameterError(f"t_star must lie in (0, 1), got {t_star!r}")
     q = cdf.fdp_limit(t_star)
-    qdot = cdf.fdp_limit_deriv(t_star)
     w = q * (1.0 - q)
-    zeta0 = AtomicMeasure(((t_star, w / t_star),)) + t_deriv.scaled(qdot * cdf.pi0)
-    zeta1 = AtomicMeasure(((t_star, -w / cdf.alt_cdf(t_star)),)) + t_deriv.scaled(
-        qdot * (1.0 - cdf.pi0)
-    )
-    return zeta0, zeta1
+    z0, z1 = w / t_star, -w / cdf.alt_cdf(t_star)
+    if t_dot is not None:
+        qdot = float(cdf.fdp_limit_deriv(t_star))
+        z0 += qdot * cdf.pi0 * t_dot
+        z1 += qdot * (1.0 - cdf.pi0) * t_dot
+    return z0, z1
 
 
-def disturbance_coef(zeta0: AtomicMeasure, zeta1: AtomicMeasure, mu: float) -> float:
-    """Coefficient coupling the FDP fluctuation to the common Gaussian factor.
+def variance_components(
+    cdf: MixtureCdf, t_star: float, z0: float, z1: float
+) -> tuple[float, float]:
+    """The common-factor coefficient c and the e.c.d.f. variance sigma2 of
+    the point masses z0, z1 at t* (q the upper-tail quantile):
 
-    c = int density(q(t)) zeta0(dt) + int density(q(t) - mu) zeta1(dt),
-    q the upper-tail quantile.  Its square is the case-(ii) limit variance.
+        c      = z0 * density(q(t*)) + z1 * density(q(t*) - mu)
+        sigma2 = z0**2 * t*(1 - t*) / pi0 + z1**2 * G1(t*)(1 - G1(t*)) / (1 - pi0)
+
+    The two variance terms are the Brownian-bridge variances of the group
+    e.c.d.f.s at t* (the second under the time change G1).  c**2 is the
+    case-(ii) limit variance.
     """
-    c0 = zeta0.integrate(lambda t: std_normal_density(phi_upper_inv(t)))
-    c1 = zeta1.integrate(lambda t: std_normal_density(phi_upper_inv(t) - mu))
-    return c0 + c1
-
-
-def _bridge_kernel(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # covariance of a standard Brownian bridge
-    return np.minimum(s, t) - s * t
-
-
-def ecdf_variance(zeta0: AtomicMeasure, zeta1: AtomicMeasure, cdf: MixtureCdf) -> float:
-    """Variance contributed by the group e.c.d.f. fluctuations.
-
-    sigma2 = pi0**-1  * iint (min(s,t) - s t)           zeta0(ds) zeta0(dt)
-           + (1-pi0)**-1 * iint (G1(min(s,t)) - G1(s) G1(t)) zeta1(ds) zeta1(dt)
-
-    Both kernels are Brownian-bridge covariances (the second under the time
-    change G1), hence positive semidefinite; the double sums over atoms are
-    exact.  A result below -1e-10 signals a bug and raises; tiny negative
-    rounding is clamped to 0.
-    """
-    total = 0.0
-    if not zeta0.is_empty:
-        loc, w = zeta0.locations(), zeta0.weights()
-        k = _bridge_kernel(loc[:, None], loc[None, :])
-        total += float(w @ k @ w) / cdf.pi0
-    if not zeta1.is_empty:
-        loc, w = zeta1.locations(), zeta1.weights()
-        g1 = cdf.alt_cdf(loc)
-        k = cdf.alt_cdf(np.minimum(loc[:, None], loc[None, :])) - g1[:, None] * g1[None, :]
-        total += float(w @ k @ w) / (1.0 - cdf.pi0)
-    if total < -1e-10:
-        raise EquifdpError(f"variance double sum is negative ({total!r}); kernel bug")
-    return max(total, 0.0)
+    z = phi_upper_inv(t_star)
+    c = z0 * std_normal_density(z) + z1 * std_normal_density(z - cdf.mu)
+    g1 = cdf.alt_cdf(t_star)
+    # (z * k) * z with k = t - t*t: the pinned law digests depend on this order
+    null_term = z0 * (t_star - t_star * t_star) * z0 / cdf.pi0
+    alt_term = z1 * (g1 - g1 * g1) * z1 / (1.0 - cdf.pi0)
+    return c, null_term + alt_term
 
 
 @dataclass(frozen=True)
@@ -350,98 +245,37 @@ class AsymptoticLaw:
         }
 
 
-def asymptotic_law(
-    cdf: MixtureCdf, procedure: ThresholdProcedure, rho_seq: RhoSequence
-) -> AsymptoticLaw:
-    """Assemble the limit law of the scaled FDP for a procedure and regime.
+def asymptotic_law(cdf: MixtureCdf, procedure, rho_seq) -> AsymptoticLaw:
+    """Assemble the limit law of the scaled FDP for a procedure (``BH`` or
+    ``FixedThreshold``) and a correlation regime (``ThetaOverM`` or
+    ``PowerLaw``); t* is solved once.
 
-    Raises :class:`RegimeError` for a fixed rho in (0, 1): the FDP then does
-    not concentrate around its mean at all, and no normal limit of this form
-    exists.  The oracle-transform path handles that setting.
+    Raises :class:`RegimeError` for a fixed rho in (0, 1), before any fixed
+    point is solved: the FDP then does not concentrate around its mean at
+    all, and no normal limit of this form exists.  The oracle-transform path
+    handles that setting.
     """
-    if isinstance(rho_seq, FixedRho):
+    if rho_seq.regime is None:
         raise RegimeError(
             "no normal limit for fixed rho in (0, 1): the FDP does not "
             "concentrate; use the oracle transform for known model parameters"
         )
-
-    if isinstance(procedure, BH):
-        t_star = bh_fixed_point(cdf, procedure.alpha)
-    elif isinstance(procedure, FixedThreshold):
-        t_star = procedure.t
-    else:
-        raise ParameterError(f"unknown procedure {procedure!r}")
-
-    t_deriv = threshold_derivative(cdf, procedure)
-    zeta0, zeta1 = fluctuation_measures(cdf, t_star, t_deriv)
-    c = disturbance_coef(zeta0, zeta1, cdf.mu)
-    sigma2 = ecdf_variance(zeta0, zeta1, cdf)
-    center = float(cdf.fdp_limit(t_star))
-
-    if isinstance(rho_seq, ThetaOverM):
-        theta = rho_seq.theta
-        variance = sigma2 + theta * c * c
-        if variance < 0.0:
-            if variance < -1e-10:
-                raise EquifdpError(
-                    f"case-i variance sigma2 + theta*c**2 = {variance!r} is negative"
-                )
-            variance = 0.0
-        return AsymptoticLaw(
-            regime="case_i",
-            theta=theta,
-            t_star=t_star,
-            center=center,
-            c_coef=c,
-            sigma2=sigma2,
-            variance=variance,
-            rate="sqrt(m)",
-        )
-    if isinstance(rho_seq, PowerLaw):
-        return AsymptoticLaw(
-            regime="case_ii",
-            theta=None,
-            t_star=t_star,
-            center=center,
-            c_coef=c,
-            sigma2=sigma2,
-            variance=c * c,
-            rate="rho_m**-0.5",
-        )
-    raise ParameterError(f"unknown correlation sequence {rho_seq!r}")
+    t_star = procedure.t_star(cdf)
+    z0, z1 = fluctuation_weights(cdf, t_star, procedure.t_dot(cdf, t_star))
+    c, sigma2 = variance_components(cdf, t_star, z0, z1)
+    return AsymptoticLaw(
+        regime=rho_seq.regime,
+        theta=rho_seq.theta,
+        t_star=t_star,
+        center=float(cdf.fdp_limit(t_star)),
+        c_coef=c,
+        sigma2=sigma2,
+        variance=rho_seq.variance(sigma2, c),
+        rate=rho_seq.rate,
+    )
 
 
-# --- covariance kernels of the limiting processes ----------------------------
-
-_KERNELS = ("null_null", "alt_alt", "common_null", "common_alt")
-
-
-def limit_cov(cdf: MixtureCdf, which: str, s: float, t: float) -> float:
-    """Covariance kernels of the limiting empirical processes.
-
-    which selects among:
-
-    * ``null_null``:   pi0**-1 * (min(s,t) - s*t), the null-group bridge;
-    * ``alt_alt``:     (1-pi0)**-1 * (G1(min(s,t)) - G1(s)*G1(t));
-    * ``common_null``: cov of the common factor with the null process at t,
-      equal to density(q(t)) with q the upper-tail quantile (s is ignored);
-    * ``common_alt``:  same against the alternative process, density(q(t)-mu).
-
-    The two group bridges are independent of each other, and the extra
-    disturbance factor is independent of all three components.
-    """
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise ParameterError(f"s, t must lie in (0, 1), got {(s, t)!r}")
-    if which == "null_null":
-        return (min(s, t) - s * t) / cdf.pi0
-    if which == "alt_alt":
-        g1s, g1t = cdf.alt_cdf(s), cdf.alt_cdf(t)
-        return (cdf.alt_cdf(min(s, t)) - g1s * g1t) / (1.0 - cdf.pi0)
-    if which == "common_null":
-        return float(std_normal_density(phi_upper_inv(t)))
-    if which == "common_alt":
-        return float(std_normal_density(phi_upper_inv(t) - cdf.mu))
-    raise ParameterError(f"which must be one of {_KERNELS}, got {which!r}")
+# --- covariance kernel of the limiting e.c.d.f. processes ---------------------
 
 
 def ecdf_limit_cov(cdf: MixtureCdf, theta: float, group: str, s: float, t: float) -> float:
@@ -449,19 +283,28 @@ def ecdf_limit_cov(cdf: MixtureCdf, theta: float, group: str, s: float, t: float
     sqrt(m) * (G_hat_group(t) - G_group(t)) in the m*rho_m -> theta regime.
 
     The limit process for a group is (bridge) - (Z - sqrt(1+theta) U) * D,
-    where D(t) is the corresponding density kernel, cov(Z, bridge(t)) = D(t)
-    and var(Z - sqrt(1+theta) U) = 2 + theta.  Expanding, the two cross terms
+    where D(t) is the group's density kernel, cov(Z, bridge(t)) = D(t) and
+    var(Z - sqrt(1+theta) U) = 2 + theta.  Expanding, the two cross terms
     contribute -2 D(s) D(t) and the factor term (2 + theta) D(s) D(t), so the
-    net correction over the bare bridge kernel is theta * D(s) * D(t).
+    net correction over the bare bridge kernel is theta * D(s) * D(t).  The
+    groups ("null", "alt") have
+
+    * null: bridge pi0**-1 * (min(s,t) - s*t), D(t) = density(q(t));
+    * alt:  bridge (1-pi0)**-1 * (G1(min(s,t)) - G1(s)*G1(t)),
+      D(t) = density(q(t) - mu);
+
+    q the upper-tail quantile.  The two group bridges are independent of
+    each other, and the extra disturbance factor is independent of both.
     """
+    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
+        raise ParameterError(f"s, t must lie in (0, 1), got {(s, t)!r}")
     if group == "null":
-        base = limit_cov(cdf, "null_null", s, t)
-        d_s = limit_cov(cdf, "common_null", s, s)
-        d_t = limit_cov(cdf, "common_null", t, t)
+        bridge, shift = (min(s, t) - s * t) / cdf.pi0, 0.0
     elif group == "alt":
-        base = limit_cov(cdf, "alt_alt", s, t)
-        d_s = limit_cov(cdf, "common_alt", s, s)
-        d_t = limit_cov(cdf, "common_alt", t, t)
+        g1s, g1t = cdf.alt_cdf(s), cdf.alt_cdf(t)
+        bridge, shift = (cdf.alt_cdf(min(s, t)) - g1s * g1t) / (1.0 - cdf.pi0), cdf.mu
     else:
         raise ParameterError(f"group must be 'null' or 'alt', got {group!r}")
-    return base + theta * d_s * d_t
+    d_s = std_normal_density(phi_upper_inv(s) - shift)
+    d_t = std_normal_density(phi_upper_inv(t) - shift)
+    return bridge + theta * d_s * d_t

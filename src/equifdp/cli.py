@@ -240,9 +240,7 @@ def _cmd_theory(args, parser) -> int:
     report = {
         "version": __version__,
         "params": {"pi0": args.pi0, "mu": args.mu, "alpha": args.alpha},
-        "procedure": {"kind": "fixed", "t": args.threshold}
-        if args.threshold is not None
-        else {"kind": "bh", "alpha": args.alpha},
+        "procedure": procedure.to_dict(),
         "theory": law.to_dict(),
     }
     if args.threshold is None:

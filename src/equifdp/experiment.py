@@ -39,7 +39,6 @@ from .asymptotics import AsymptoticLaw, MixtureCdf, asymptotic_law
 from .errors import ParameterError, RegimeError
 from .model import (
     ModelParams,
-    PowerLaw,
     RhoSequence,
     RngStream,
     ThetaOverM,
@@ -48,7 +47,7 @@ from .model import (
     _truth_labels,
 )
 from .oracle import OracleParams, _rescale
-from .procedures import BH, FixedThreshold, ThresholdProcedure, _apply_procedure_rows
+from .procedures import ThresholdProcedure, _apply_procedure_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -184,29 +183,26 @@ def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
             dst[lo:hi] = src
 
 
-def _law_for(config: ExperimentConfig) -> tuple[Optional[AsymptoticLaw], list[str]]:
+def _law_for(
+    config: ExperimentConfig,
+) -> tuple[Optional[AsymptoticLaw], Optional[float], list[str]]:
+    """(law, a_m, warnings) of a run; law and a_m are None together.
+
+    Oracle mode has one effective regime, theta = -1 under the mu_tilde
+    mixture, for both the law and a_m.
+    """
     base = config.base_params
     if config.oracle_mode:
-        cdf = MixtureCdf(base.pi0, config.params.mu_tilde)
-        return asymptotic_law(cdf, config.procedure, ThetaOverM(-1.0)), []
-    if config.rho_seq is None:
-        return None, ["no correlation regime declared; theory fields absent"]
-    cdf = MixtureCdf(base.pi0, base.mu)
+        cdf, regime = MixtureCdf(base.pi0, config.params.mu_tilde), ThetaOverM(-1.0)
+    elif config.rho_seq is None:
+        return None, None, ["no correlation regime declared; theory fields absent"]
+    else:
+        cdf, regime = MixtureCdf(base.pi0, base.mu), config.rho_seq
     try:
-        return asymptotic_law(cdf, config.procedure, config.rho_seq), []
+        law = asymptotic_law(cdf, config.procedure, regime)
     except RegimeError as exc:
-        return None, [f"regime warning: {exc}"]
-
-
-def _scale_factor(config: ExperimentConfig) -> Optional[float]:
-    m = config.base_params.m
-    if config.oracle_mode:
-        return math.sqrt(m)
-    if isinstance(config.rho_seq, ThetaOverM):
-        return math.sqrt(m)
-    if isinstance(config.rho_seq, PowerLaw):
-        return config.rho_seq.rho_at(m) ** -0.5
-    return None
+        return None, None, [f"regime warning: {exc}"]
+    return law, regime.a_m(base.m), []
 
 
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
@@ -234,15 +230,14 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, edges[:-1], edges[1:]))
 
-    law, warnings = _law_for(config)
-    a_m = _scale_factor(config)
+    law, a_m, warnings = _law_for(config)
 
     mean_fdp = float(fdp.mean())
     var_fdp = float(fdp.var(ddof=1)) if R >= 2 else None
 
     scaled = None
     var_scaled = variance_ratio = ks = mc_se = None
-    if law is not None and a_m is not None:
+    if law is not None:
         scaled = a_m * (fdp - law.center)
         if R >= 2:
             var_scaled = float(scaled.var(ddof=1))
@@ -441,22 +436,6 @@ def check_tolerances(summary: ExperimentSummary) -> list[str]:
     return out
 
 
-def _procedure_dict(procedure: ThresholdProcedure) -> dict:
-    if isinstance(procedure, BH):
-        return {"kind": "bh", "alpha": procedure.alpha}
-    return {"kind": "fixed", "t": procedure.t}
-
-
-def _rho_seq_dict(rho_seq: Optional[RhoSequence]) -> Optional[dict]:
-    if rho_seq is None:
-        return None
-    if isinstance(rho_seq, ThetaOverM):
-        return {"kind": "theta_over_m", "theta": rho_seq.theta}
-    if isinstance(rho_seq, PowerLaw):
-        return {"kind": "power_law", "c": rho_seq.c, "gamma": rho_seq.gamma}
-    return {"kind": "fixed", "rho": rho_seq.rho}
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     base = config.base_params
     return {
@@ -465,8 +444,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "mu": base.mu,
         "rho": base.rho,
         "oracle": config.oracle_mode,
-        "procedure": _procedure_dict(config.procedure),
-        "rho_seq": _rho_seq_dict(config.rho_seq),
+        "procedure": config.procedure.to_dict(),
+        "rho_seq": None if config.rho_seq is None else config.rho_seq.to_dict(),
         "replicates": config.replicates,
         "seed": config.seed,
         "m_grid": None if config.m_grid is None else list(config.m_grid),

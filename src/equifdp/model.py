@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EquifdpError, ParameterError
 from .gaussian import phi_upper
 
 __all__ = [
@@ -139,13 +139,20 @@ class Sample:
 
 
 # --- correlation sequences (asymptotic regime declarations) -----------------
+#
+# A sequence names its regime and the rate a_m of its normal limit, turns the
+# two variance components (sigma2, c) into the limit variance, and gives its
+# JSON view.  Fixed rho has no normal limit; its regime is None.
 
 
 @dataclass(frozen=True)
 class ThetaOverM:
-    """rho_m = theta / m, the regime where m * rho_m stays bounded."""
+    """rho_m = theta / m, the regime where m * rho_m stays bounded (case i):
+    sqrt(m) * (FDP - center) -> N(0, sigma2 + theta * c**2)."""
 
     theta: float
+    regime = "case_i"
+    rate = "sqrt(m)"
 
     def __post_init__(self):
         if not (self.theta >= -1.0 and math.isfinite(self.theta)):
@@ -154,13 +161,34 @@ class ThetaOverM:
     def rho_at(self, m: int) -> float:
         return self.theta / m
 
+    def a_m(self, m: int) -> float:
+        return math.sqrt(m)
+
+    def variance(self, sigma2: float, c: float) -> float:
+        variance = sigma2 + self.theta * c * c
+        if variance < 0.0:
+            if variance < -1e-10:
+                raise EquifdpError(
+                    f"case-i variance sigma2 + theta*c**2 = {variance!r} is negative"
+                )
+            variance = 0.0
+        return variance
+
+    def to_dict(self) -> dict:
+        return {"kind": "theta_over_m", "theta": self.theta}
+
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """rho_m = c * m**(-gamma) with 0 < gamma < 1: m*rho_m -> inf, rho_m -> 0."""
+    """rho_m = c * m**(-gamma) with 0 < gamma < 1: m*rho_m -> inf, rho_m -> 0
+    (case ii): rho_m**-0.5 * (FDP - center) -> N(0, c_coef**2), whatever
+    the constants."""
 
     c: float
     gamma: float
+    regime = "case_ii"
+    rate = "rho_m**-0.5"
+    theta = None
 
     def __post_init__(self):
         if not (self.c > 0.0):
@@ -171,6 +199,15 @@ class PowerLaw:
     def rho_at(self, m: int) -> float:
         return self.c * float(m) ** (-self.gamma)
 
+    def a_m(self, m: int) -> float:
+        return self.rho_at(m) ** -0.5
+
+    def variance(self, sigma2: float, c: float) -> float:
+        return c * c
+
+    def to_dict(self) -> dict:
+        return {"kind": "power_law", "c": self.c, "gamma": self.gamma}
+
 
 @dataclass(frozen=True)
 class FixedRho:
@@ -178,6 +215,7 @@ class FixedRho:
     FDP in this regime; the oracle transform is the supported path."""
 
     rho: float
+    regime = rate = theta = None
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
@@ -185,6 +223,9 @@ class FixedRho:
 
     def rho_at(self, m: int) -> float:
         return self.rho
+
+    def to_dict(self) -> dict:
+        return {"kind": "fixed", "rho": self.rho}
 
 
 RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]

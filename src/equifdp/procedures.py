@@ -5,6 +5,12 @@ whose data-driven threshold is the largest t with pooled-e.c.d.f. mass
 G_m(t) >= t / alpha, and a fixed threshold t0, the simplest member of the
 family of smooth threshold functionals (its derivative is zero, which makes
 it useful for isolating the e.c.d.f. fluctuation term in the limit theory).
+
+Each procedure carries its own behaviour: ``thresholds(p)`` thresholds the
+rows of a p-value block, ``t_star(cdf)`` is the almost-sure limit of the
+threshold under a mixture c.d.f., ``t_dot(cdf, t_star)`` the weight of its
+threshold functional's derivative (a point mass at t*, or None when the
+threshold does not depend on the data), and ``to_dict()`` its JSON view.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError
+from . import asymptotics
+from .errors import DegenerateCrossingError, ParameterError
 from .model import Sample
 
 __all__ = [
@@ -38,6 +45,36 @@ class BH:
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
+    def thresholds(self, p: np.ndarray) -> np.ndarray:
+        """Row-wise step-up over a (B, m) array: alpha * k / m per row, with
+        k = max{i : p_(i) <= i*alpha/m}, or 0.0 where no order statistic
+        clears its line."""
+        m = p.shape[1]
+        below = np.sort(p, axis=1) <= self.alpha * np.arange(1, m + 1) / m
+        k = np.where(below.any(axis=1), m - np.argmax(below[:, ::-1], axis=1), 0)
+        return self.alpha * k / m
+
+    def t_star(self, cdf) -> float:
+        """The fixed point of G(t) = t / alpha."""
+        return asymptotics.bh_fixed_point(cdf, self.alpha)
+
+    def t_dot(self, cdf, t_star: float) -> float:
+        """1 / (1/alpha - dG(t*)).
+
+        The denominator is positive when G crosses the line t/alpha
+        transversally; a nonpositive value means the crossing is tangential
+        and the derivative does not exist (:class:`DegenerateCrossingError`).
+        """
+        denom = 1.0 / self.alpha - float(cdf.derivative(t_star))
+        if denom <= 0.0:
+            raise DegenerateCrossingError(
+                f"tangential crossing at t*={t_star!r}: 1/alpha - dG(t*) = {denom!r} <= 0"
+            )
+        return 1.0 / denom
+
+    def to_dict(self) -> dict:
+        return {"kind": "bh", "alpha": self.alpha}
+
 
 @dataclass(frozen=True)
 class FixedThreshold:
@@ -48,6 +85,19 @@ class FixedThreshold:
     def __post_init__(self):
         if not (0.0 < self.t < 1.0):
             raise ParameterError(f"threshold must lie in (0, 1), got {self.t!r}")
+
+    def thresholds(self, p: np.ndarray) -> np.ndarray:
+        return np.full(p.shape[0], self.t)
+
+    def t_star(self, cdf) -> float:
+        return self.t
+
+    def t_dot(self, cdf, t_star: float) -> None:
+        """None: the threshold is constant in G, so its derivative is zero."""
+        return None
+
+    def to_dict(self) -> dict:
+        return {"kind": "fixed", "t": self.t}
 
 
 ThresholdProcedure = Union[BH, FixedThreshold]
@@ -67,16 +117,6 @@ class RejectionResult:
     fdp: float
 
 
-def _bh_thresholds(p: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise step-up over a (B, m) array: alpha * k / m per row, with
-    k = max{i : p_(i) <= i*alpha/m}, or 0.0 where no order statistic clears
-    its line."""
-    m = p.shape[1]
-    below = np.sort(p, axis=1) <= alpha * np.arange(1, m + 1) / m
-    k = np.where(below.any(axis=1), m - np.argmax(below[:, ::-1], axis=1), 0)
-    return alpha * k / m
-
-
 def bh_threshold(p: np.ndarray, alpha: float) -> float:
     """Data-driven BH threshold alpha * k / m, k = max{i : p_(i) <= i*alpha/m}.
 
@@ -87,9 +127,7 @@ def bh_threshold(p: np.ndarray, alpha: float) -> float:
     p = np.asarray(p, dtype=float)
     if p.size == 0:
         raise ParameterError("p-value vector must be nonempty")
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return float(_bh_thresholds(p.reshape(1, -1), alpha)[0])
+    return float(BH(alpha).thresholds(p.reshape(1, -1))[0])
 
 
 def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.ndarray):
@@ -100,12 +138,7 @@ def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.
     ties at the threshold are rejected, and a row without rejections has
     FDP 0.
     """
-    if isinstance(procedure, BH):
-        thresholds = _bh_thresholds(p, procedure.alpha)
-    elif isinstance(procedure, FixedThreshold):
-        thresholds = np.full(p.shape[0], procedure.t)
-    else:
-        raise ParameterError(f"unknown procedure {procedure!r}")
+    thresholds = procedure.thresholds(p)
     return (thresholds, *_tally_rows(p, tau, thresholds))
 
 

@@ -74,6 +74,16 @@ def mixture_identity_exact(n_null, n_alt, count_null, count_alt, count_all):
     return lhs == rhs
 
 
+def bh_closed_forms(pi0, alpha, t):
+    """Closed forms of the BH limit quantities at the fixed point t:
+    sigma2 = pi0*alpha**2*(1-t)/t and
+    c**2 = pi0**2*alpha**2 / (2*pi*t**2) * exp(-q(t)**2), q the upper-tail
+    quantile.  Returns (sigma2, c**2)."""
+    sigma2 = pi0 * alpha**2 * (1.0 - t) / t
+    c2 = pi0**2 * alpha**2 / (2.0 * np.pi * t**2) * np.exp(-ndtri(t) ** 2)
+    return sigma2, c2
+
+
 def central_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

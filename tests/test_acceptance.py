@@ -29,20 +29,18 @@ from equifdp import (
     PowerLaw,
     RngStream,
     ThetaOverM,
+    asymptotic_law,
     bh_fixed_point,
     bh_threshold,
-    bh_threshold_derivative,
-    disturbance_coef,
     ecdf_covariance_probe,
     ecdf_limit_cov,
-    ecdf_variance,
-    fluctuation_measures,
     phi_upper,
     phi_upper_inv,
     run,
     sample,
 )
 from oracles import (
+    bh_closed_forms,
     bh_no_better_between,
     bh_threshold_scan_k,
     case_ii_reference_cdf,
@@ -65,13 +63,6 @@ ALPHA_GRID = [0.01, 0.05, 0.1, 0.2]
 def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:02d} {status}: {detail}")
-
-
-def bh_closed_forms(pi0, mu, alpha):
-    t = bh_fixed_point(MixtureCdf(pi0, mu), alpha)
-    sigma2 = pi0 * alpha**2 * (1.0 - t) / t
-    c2 = pi0**2 * alpha**2 / (2.0 * np.pi * t**2) * np.exp(-phi_upper_inv(t) ** 2)
-    return t, sigma2, c2
 
 
 def case_i_config(m, theta, replicates):
@@ -158,10 +149,10 @@ def test_c03_generic_pipeline_matches_closed_forms():
         for mu in MU_GRID:
             for alpha in ALPHA_GRID:
                 cdf = MixtureCdf(pi0, mu)
-                t, sigma2_cf, c2_cf = bh_closed_forms(pi0, mu, alpha)
-                z0, z1 = fluctuation_measures(cdf, t, bh_threshold_derivative(cdf, alpha))
-                sigma2 = ecdf_variance(z0, z1, cdf)
-                c2 = disturbance_coef(z0, z1, mu) ** 2
+                sigma2_cf, c2_cf = bh_closed_forms(pi0, alpha, bh_fixed_point(cdf, alpha))
+                law = asymptotic_law(cdf, BH(alpha), ThetaOverM(0.0))
+                sigma2 = law.sigma2
+                c2 = law.c_coef**2
                 worst = max(
                     worst,
                     abs(sigma2 / sigma2_cf - 1.0),
@@ -209,7 +200,7 @@ def case_ii_config(m, replicates):
 def test_c06_case_ii_clt_and_rate_separation():
     s_large = run(case_ii_config(10_000, 4000), workers=WORKERS)
     s_small = run(case_ii_config(1_000, 4000), workers=WORKERS)
-    _, sigma2, c2 = bh_closed_forms(PI0, MU, ALPHA)
+    sigma2, c2 = bh_closed_forms(PI0, ALPHA, bh_fixed_point(MixtureCdf(PI0, MU), ALPHA))
     grid = np.linspace(-8.0, 8.0, 4001) * np.sqrt(c2)
     limit = special.ndtr(grid / np.sqrt(c2))
     c_coef = s_large.law.c_coef

@@ -1,14 +1,15 @@
-"""Mixture c.d.f., fixed point, derivative-measure algebra, limit variances,
-and covariance kernels, checked against closed forms, frozen high-precision
-constants, and finite-difference oracles."""
+"""Mixture c.d.f., fixed point, threshold derivatives, point-mass weights,
+limit variances, and covariance kernels, checked against closed forms,
+frozen high-precision constants, and finite-difference oracles."""
+
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from equifdp import (
     BH,
-    EMPTY_MEASURE,
-    AtomicMeasure,
     FixedRho,
     FixedThreshold,
     MixtureCdf,
@@ -18,33 +19,24 @@ from equifdp import (
     ThetaOverM,
     asymptotic_law,
     bh_fixed_point,
-    bh_threshold_derivative,
-    disturbance_coef,
     ecdf_limit_cov,
-    ecdf_variance,
-    fluctuation_measures,
-    limit_cov,
+    fluctuation_weights,
     phi_upper,
     phi_upper_inv,
     std_normal_density,
-    threshold_derivative,
+    variance_components,
 )
-from oracles import central_difference
+from oracles import bh_closed_forms, central_difference
 
 # pinned with 60-digit bisection before the build
 T_STAR_REF = 0.08059968470029045  # pi0=0.5, mu=2, alpha=0.2
 T_STAR_STRESS_REF = 0.980173694834980838  # pi0=0.5, mu=2, alpha=0.99
 G_HALF_REF = 0.738624934025910396  # G(0.5) at pi0=0.5, mu=2
+# pinned with a 60-digit mpmath evaluation of the fixed-threshold formulas
+# (quantile by root search in the log domain)
+SIGMA2_TINY_T_REF = 4.2921974339387162e237  # pi0=0.5, mu=2, t=1e-300
 
 MU_GRID = (0.5, 1.0, 2.0, 4.0)
-
-
-def bh_closed_forms(pi0, mu, alpha):
-    """Independent closed-form expressions for the BH limit quantities."""
-    t = bh_fixed_point(MixtureCdf(pi0, mu), alpha)
-    sigma2 = pi0 * alpha**2 * (1.0 - t) / t
-    c2 = pi0**2 * alpha**2 / (2.0 * np.pi * t**2) * np.exp(-phi_upper_inv(t) ** 2)
-    return t, sigma2, c2
 
 
 class TestMixtureCdf:
@@ -126,34 +118,12 @@ class TestFixedPoint:
             bh_fixed_point(MixtureCdf(0.5, 2.0), 0.0)
 
 
-class TestAtomicMeasure:
-    def test_merging_close_atoms(self):
-        m = AtomicMeasure(((0.3, 1.0), (0.3 + 1e-13, 2.0), (0.6, -1.0)))
-        assert len(m.atoms) == 2
-        assert m.atoms[0][1] == pytest.approx(3.0)
-
-    def test_integrate_is_finite_sum(self):
-        m = AtomicMeasure(((0.25, 2.0), (0.75, -0.5)))
-        assert m.integrate(lambda t: t) == pytest.approx(2.0 * 0.25 - 0.5 * 0.75)
-
-    def test_add_and_scale(self):
-        a = AtomicMeasure(((0.5, 1.0),))
-        b = AtomicMeasure(((0.5, -1.0),))
-        assert (a + b).atoms[0][1] == 0.0
-        assert a.scaled(3.0).atoms == ((0.5, 3.0),)
-
-    def test_rejects_boundary_locations(self):
-        with pytest.raises(ParameterError):
-            AtomicMeasure(((0.0, 1.0),))
-        with pytest.raises(ParameterError):
-            AtomicMeasure(((1.0, 1.0),))
-
-
 class TestThresholdDerivative:
     def test_bh_atom_location_is_fixed_point(self):
         cdf = MixtureCdf(0.5, 2.0)
-        d = bh_threshold_derivative(cdf, 0.2)
-        assert d.atoms[0][0] == bh_fixed_point(cdf, 0.2)
+        t = bh_fixed_point(cdf, 0.2)
+        assert BH(0.2).t_star(cdf) == t
+        assert asymptotic_law(cdf, BH(0.2), ThetaOverM(0.0)).t_star == t
 
     def test_bh_weight_closed_form(self):
         # weight = 1 / (1/alpha - dG(t*)), dG from the closed-form density
@@ -163,21 +133,22 @@ class TestThresholdDerivative:
         gdot_closed = 0.5 + 0.5 * np.exp(2.0 * phi_upper_inv(t) - 2.0)
         fd = central_difference(cdf, t)
         assert gdot_closed == pytest.approx(fd, rel=1e-6)
-        d = bh_threshold_derivative(cdf, 0.2)
-        assert d.atoms[0][1] == pytest.approx(1.0 / (5.0 - gdot_closed), rel=1e-12)
+        assert BH(0.2).t_dot(cdf, t) == pytest.approx(1.0 / (5.0 - gdot_closed), rel=1e-12)
 
     def test_fixed_threshold_has_zero_derivative(self):
         cdf = MixtureCdf(0.5, 2.0)
-        assert threshold_derivative(cdf, FixedThreshold(0.4)).is_empty
+        assert FixedThreshold(0.4).t_star(cdf) == 0.4
+        assert FixedThreshold(0.4).t_dot(cdf, 0.4) is None
+        assert fluctuation_weights(cdf, 0.4) == fluctuation_weights(cdf, 0.4, 0.0)
 
 
 class TestFluctuationMeasures:
     def test_bh_alt_measure_cancels(self):
         cdf = MixtureCdf(0.5, 2.0)
         t = bh_fixed_point(cdf, 0.2)
-        z0, z1 = fluctuation_measures(cdf, t, bh_threshold_derivative(cdf, 0.2))
-        assert abs(z1.weights().sum()) <= 1e-10
-        assert z0.atoms[0][1] == pytest.approx(0.5 * 0.2 / t, rel=1e-10)
+        z0, z1 = fluctuation_weights(cdf, t, BH(0.2).t_dot(cdf, t))
+        assert abs(z1) <= 1e-10
+        assert z0 == pytest.approx(0.5 * 0.2 / t, rel=1e-10)
 
     def test_bh_cancellation_across_grid(self):
         for pi0 in (0.2, 0.7):
@@ -185,27 +156,24 @@ class TestFluctuationMeasures:
                 for alpha in (0.05, 0.2):
                     cdf = MixtureCdf(pi0, mu)
                     t = bh_fixed_point(cdf, alpha)
-                    z0, z1 = fluctuation_measures(
-                        cdf, t, bh_threshold_derivative(cdf, alpha)
-                    )
+                    z0, z1 = fluctuation_weights(cdf, t, BH(alpha).t_dot(cdf, t))
                     scale = pi0 * alpha / t
-                    assert abs(z1.weights().sum()) <= 1e-10 * scale
-                    assert z0.weights().sum() == pytest.approx(scale, rel=1e-10)
+                    assert abs(z1) <= 1e-10 * scale
+                    assert z0 == pytest.approx(scale, rel=1e-10)
 
     def test_fixed_threshold_formulas(self):
         cdf = MixtureCdf(0.5, 2.0)
         t0 = 0.5
-        z0, z1 = fluctuation_measures(cdf, t0, EMPTY_MEASURE)
+        z0, z1 = fluctuation_weights(cdf, t0)
         q = cdf.fdp_limit(t0)
-        assert z0.atoms == ((t0, pytest.approx(q * (1 - q) / t0, rel=1e-14)),)
-        assert z1.atoms[0][1] == pytest.approx(-q * (1 - q) / cdf.alt_cdf(t0), rel=1e-14)
+        assert z0 == pytest.approx(q * (1 - q) / t0, rel=1e-14)
+        assert z1 == pytest.approx(-q * (1 - q) / cdf.alt_cdf(t0), rel=1e-14)
 
 
 class TestVarianceComponents:
     def test_zero_measures_give_zero(self):
         cdf = MixtureCdf(0.5, 2.0)
-        assert disturbance_coef(EMPTY_MEASURE, EMPTY_MEASURE, 2.0) == 0.0
-        assert ecdf_variance(EMPTY_MEASURE, EMPTY_MEASURE, cdf) == 0.0
+        assert variance_components(cdf, 0.3, 0.0, 0.0) == (0.0, 0.0)
 
     def test_bh_specialization_closed_forms(self):
         # generic pipeline equals the closed forms pi0*a^2*(1-t*)/t* and
@@ -214,29 +182,23 @@ class TestVarianceComponents:
             for mu in (0.5, 2.0):
                 for alpha in (0.05, 0.2):
                     cdf = MixtureCdf(pi0, mu)
-                    t, sigma2_cf, c2_cf = bh_closed_forms(pi0, mu, alpha)
-                    z0, z1 = fluctuation_measures(
-                        cdf, t, bh_threshold_derivative(cdf, alpha)
-                    )
-                    assert ecdf_variance(z0, z1, cdf) == pytest.approx(
-                        sigma2_cf, rel=1e-10
-                    )
-                    assert disturbance_coef(z0, z1, mu) ** 2 == pytest.approx(
-                        c2_cf, rel=1e-10
-                    )
+                    sigma2_cf, c2_cf = bh_closed_forms(pi0, alpha, bh_fixed_point(cdf, alpha))
+                    law = asymptotic_law(cdf, BH(alpha), ThetaOverM(0.0))
+                    assert law.sigma2 == pytest.approx(sigma2_cf, rel=1e-10)
+                    assert law.c_coef**2 == pytest.approx(c2_cf, rel=1e-10)
 
     def test_fixed_threshold_two_atom_sum(self):
         cdf = MixtureCdf(0.5, 2.0)
         t0 = 0.5
-        z0, z1 = fluctuation_measures(cdf, t0, EMPTY_MEASURE)
-        w0, w1 = z0.atoms[0][1], z1.atoms[0][1]
+        w0, w1 = fluctuation_weights(cdf, t0)
+        law = asymptotic_law(cdf, FixedThreshold(t0), ThetaOverM(0.0))
         expected_c = w0 * std_normal_density(phi_upper_inv(t0)) + w1 * std_normal_density(
             phi_upper_inv(t0) - 2.0
         )
-        assert disturbance_coef(z0, z1, 2.0) == pytest.approx(expected_c, rel=1e-14)
+        assert law.c_coef == pytest.approx(expected_c, rel=1e-14)
         g1 = cdf.alt_cdf(t0)
         expected_var = (t0 * (1 - t0)) * w0**2 / 0.5 + (g1 * (1 - g1)) * w1**2 / 0.5
-        assert ecdf_variance(z0, z1, cdf) == pytest.approx(expected_var, rel=1e-14)
+        assert law.sigma2 == pytest.approx(expected_var, rel=1e-14)
 
     def test_kernels_positive_semidefinite(self):
         cdf = MixtureCdf(0.5, 2.0)
@@ -256,7 +218,7 @@ class TestAsymptoticLaw:
     def test_theta_zero_matches_independent_case(self):
         cdf = MixtureCdf(0.5, 2.0)
         law = asymptotic_law(cdf, BH(0.2), ThetaOverM(0.0))
-        _, sigma2_cf, _ = bh_closed_forms(0.5, 2.0, 0.2)
+        sigma2_cf, _ = bh_closed_forms(0.5, 0.2, bh_fixed_point(cdf, 0.2))
         assert law.variance == pytest.approx(sigma2_cf, rel=1e-10)
         assert law.rate == "sqrt(m)"
         assert abs(law.center - 0.1) <= 1e-12
@@ -289,44 +251,84 @@ class TestAsymptoticLaw:
         assert law.center == pytest.approx(cdf.fdp_limit(0.4), rel=1e-14)
         assert law.t_star == 0.4
 
+    def test_near_zero_fixed_threshold_runs_without_warnings(self):
+        # q'(t) (whose G**2 underflows at t = 1e-300) is never evaluated for
+        # a fixed threshold; the variance itself is finite and right
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = asymptotic_law(MixtureCdf(0.5, 2.0), FixedThreshold(1e-300), ThetaOverM(0.0))
+        assert law.sigma2 == pytest.approx(SIGMA2_TINY_T_REF, rel=1e-10)
+
+
+# Every law field, bit for bit: sha256 over the repr of each law's to_dict()
+# items, in grid order.  Recorded before the measure calculus was collapsed
+# to scalar formulas.
+DIGEST_SEQUENCES = (ThetaOverM(0.0), ThetaOverM(4.0), ThetaOverM(-1.0), PowerLaw(1.0, 0.5))
+DIGEST_PI0 = (0.1, 0.3, 0.5, 0.7, 0.9)
+DIGEST_PROCEDURES = {
+    "bh": tuple(BH(alpha) for alpha in (0.01, 0.05, 0.2)),
+    "fixed": tuple(FixedThreshold(t) for t in (1e-6, 0.01, 0.2, 0.4, 0.9)),
+}
+LAW_DIGEST_PINS = {
+    "bh": "d2af26681a24037ef49a8f7cce74d0fe1c31681141d37731cc6f926c3f7cfe64",
+    "fixed": "ebecff62abd756f70838a0d0ca1d941e6480563d08d7f80ff6dcccea69d6fa9a",
+}
+
+
+@pytest.mark.parametrize("kind", list(LAW_DIGEST_PINS))
+def test_asymptotic_law_digest_pins(kind):
+    h = hashlib.sha256()
+    for pi0 in DIGEST_PI0:
+        for mu in MU_GRID:
+            for procedure in DIGEST_PROCEDURES[kind]:
+                for seq in DIGEST_SEQUENCES:
+                    law = asymptotic_law(MixtureCdf(pi0, mu), procedure, seq)
+                    h.update(repr(list(law.to_dict().items())).encode())
+    assert h.hexdigest() == LAW_DIGEST_PINS[kind]
+
 
 class TestLimitCov:
     def test_common_null_at_half(self):
+        # the theta correction is theta * D(s) * D(t), D(0.5) = density(0)
         cdf = MixtureCdf(0.5, 2.0)
-        assert limit_cov(cdf, "common_null", 0.5, 0.5) == pytest.approx(
-            0.3989422804014327, rel=1e-14
+        correction = ecdf_limit_cov(cdf, 1.0, "null", 0.5, 0.5) - ecdf_limit_cov(
+            cdf, 0.0, "null", 0.5, 0.5
         )
+        assert correction == pytest.approx(0.3989422804014327**2, rel=1e-14)
 
     def test_null_bridge_diagonal(self):
         cdf = MixtureCdf(0.5, 2.0)
-        assert limit_cov(cdf, "null_null", 0.25, 0.25) == pytest.approx(0.375)
+        assert ecdf_limit_cov(cdf, 0.0, "null", 0.25, 0.25) == pytest.approx(0.375)
 
     def test_alt_bridge_off_diagonal(self):
         cdf = MixtureCdf(0.5, 2.0)
         g1_02 = phi_upper(phi_upper_inv(0.2) - 2.0)
         g1_06 = phi_upper(phi_upper_inv(0.6) - 2.0)
         expected = (g1_02 - g1_02 * g1_06) / 0.5
-        assert limit_cov(cdf, "alt_alt", 0.2, 0.6) == pytest.approx(expected, rel=1e-13)
+        assert ecdf_limit_cov(cdf, 0.0, "alt", 0.2, 0.6) == pytest.approx(expected, rel=1e-13)
 
     def test_symmetric_in_arguments(self):
         cdf = MixtureCdf(0.3, 1.0)
-        assert limit_cov(cdf, "null_null", 0.2, 0.7) == limit_cov(cdf, "null_null", 0.7, 0.2)
+        for group in ("null", "alt"):
+            for theta in (0.0, 4.0):
+                assert ecdf_limit_cov(cdf, theta, group, 0.2, 0.7) == ecdf_limit_cov(
+                    cdf, theta, group, 0.7, 0.2
+                )
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError):
-            limit_cov(MixtureCdf(0.5, 2.0), "bogus", 0.5, 0.5)
+            ecdf_limit_cov(MixtureCdf(0.5, 2.0), 0.0, "bogus", 0.5, 0.5)
 
     def test_assembled_cov_reduces_to_bridge_at_theta_zero(self):
         cdf = MixtureCdf(0.5, 2.0)
+        g1 = cdf.alt_cdf
         for s, t in [(0.25, 0.5), (0.3, 0.3)]:
-            assert ecdf_limit_cov(cdf, 0.0, "null", s, t) == limit_cov(
-                cdf, "null_null", s, t
-            )
-            assert ecdf_limit_cov(cdf, 0.0, "alt", s, t) == limit_cov(cdf, "alt_alt", s, t)
+            assert ecdf_limit_cov(cdf, 0.0, "null", s, t) == (min(s, t) - s * t) / 0.5
+            assert ecdf_limit_cov(cdf, 0.0, "alt", s, t) == (g1(min(s, t)) - g1(s) * g1(t)) / 0.5
 
     def test_assembled_cov_theta_correction(self):
         cdf = MixtureCdf(0.5, 2.0)
         s, t, theta = 0.25, 0.5, 4.0
         d = lambda u: std_normal_density(phi_upper_inv(u))
-        expected = limit_cov(cdf, "null_null", s, t) + theta * d(s) * d(t)
+        expected = (min(s, t) - s * t) / 0.5 + theta * d(s) * d(t)
         assert ecdf_limit_cov(cdf, theta, "null", s, t) == pytest.approx(expected, rel=1e-14)
