@@ -9,6 +9,7 @@ from .errors import (
     DegenerateCrossingError,
     DomainError,
     EquifdpError,
+    FixedPointUnderflowError,
     ParameterError,
     RegimeError,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "DomainError",
     "ParameterError",
     "BracketingError",
+    "FixedPointUnderflowError",
     "DegenerateCrossingError",
     "RegimeError",
     # gaussian

@@ -17,6 +17,10 @@ class BracketingError(EquifdpError, RuntimeError):
     """Root search failed to bracket or verify a unique crossing."""
 
 
+class FixedPointUnderflowError(BracketingError):
+    """The BH fixed point t* lies below double range, so it cannot be bracketed."""
+
+
 class DegenerateCrossingError(EquifdpError, RuntimeError):
     """Threshold functional crosses tangentially; its derivative does not exist."""
 

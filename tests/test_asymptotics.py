@@ -3,13 +3,17 @@ limit variances, and covariance kernels, checked against closed forms,
 frozen high-precision constants, and finite-difference oracles."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from equifdp import (
     BH,
+    BracketingError,
+    FixedPointUnderflowError,
     FixedRho,
     FixedThreshold,
     MixtureCdf,
@@ -26,6 +30,7 @@ from equifdp import (
     std_normal_density,
     variance_components,
 )
+from equifdp.asymptotics import _ROOT_RTOL, _brentq
 from oracles import bh_closed_forms, central_difference
 
 # pinned with 60-digit bisection before the build
@@ -85,6 +90,15 @@ class TestMixtureCdf:
         with pytest.raises(ParameterError):
             MixtureCdf(0.5, 0.0)
 
+    @pytest.mark.parametrize(
+        "t", [np.nan, np.inf, -np.inf, np.array([0.2, np.nan])], ids=["nan", "inf", "-inf", "array"]
+    )
+    def test_non_finite_t_rejected(self, t):
+        cdf = MixtureCdf(0.5, 2.0)
+        for f in (cdf.alt_cdf, cdf, cdf.fdp_limit):
+            with pytest.raises(ParameterError):
+                f(t)
+
 
 class TestFixedPoint:
     def test_reference_value(self):
@@ -116,6 +130,70 @@ class TestFixedPoint:
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
             bh_fixed_point(MixtureCdf(0.5, 2.0), 0.0)
+
+    @pytest.mark.parametrize("pi0, mu, alpha", [(0.99, 0.1, 0.001), (0.999, 0.2, 0.01)])
+    def test_fixed_point_below_double_range(self, pi0, mu, alpha):
+        # t* is about 1e-2900 here
+        with pytest.raises(FixedPointUnderflowError, match="below double range"):
+            bh_fixed_point(MixtureCdf(pi0, mu), alpha)
+        assert issubclass(FixedPointUnderflowError, BracketingError)
+
+
+def _recorded(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestBrentPort:
+    def test_matches_scipy_on_fixed_point_grid(self):
+        # same root from the same evaluation points, on every bracket that
+        # bh_fixed_point builds on this grid, slid ones included
+        slid = 0
+        for pi0 in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for mu in MU_GRID:
+                for alpha in (0.001, 0.01, 0.05, 0.1, 0.2):
+                    cdf = MixtureCdf(pi0, mu)
+                    h = lambda t: cdf(t) - t / alpha
+                    left = 1e-14
+                    while h(left) <= 0.0:
+                        left *= 1e-8
+                        assert left > 1e-290
+                    slid += left < 1e-14
+                    port, port_calls = _recorded(h)
+                    ref, ref_calls = _recorded(h)
+                    root = _brentq(port, left, 1.0 - 1e-14, 1e-300, _ROOT_RTOL, 300)
+                    expected = scipy_brentq(
+                        ref, left, 1.0 - 1e-14, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300
+                    )
+                    assert root == expected
+                    assert port_calls == ref_calls
+                    assert bh_fixed_point(cdf, alpha) == root
+        assert slid == 24
+
+    def test_same_sign_bracket(self):
+        with pytest.raises(BracketingError, match="same sign"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-300, _ROOT_RTOL, 300)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: math.nan, lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5],
+        ids=["at-endpoint", "mid-search"],
+    )
+    def test_nan_value(self, f):
+        with pytest.raises(BracketingError, match="NaN"):
+            _brentq(f, 0.0, 1.0, 1e-300, _ROOT_RTOL, 300)
+
+    def test_iterations_exhausted(self):
+        f = lambda x: math.exp(x) - 2.0
+        with pytest.raises(BracketingError, match="3 iterations"):
+            _brentq(f, 0.0, 1.0, 1e-300, _ROOT_RTOL, 3)
+        with pytest.raises(RuntimeError, match="converge"):
+            scipy_brentq(f, 0.0, 1.0, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=3)
 
 
 class TestThresholdDerivative:

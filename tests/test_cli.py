@@ -2,10 +2,15 @@
 usage errors, config files, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equifdp
 from equifdp import cli
 
 
@@ -65,6 +70,32 @@ class TestTheory:
         with pytest.raises(SystemExit) as exc:
             run_cli(["theory", "--pi0", "0.5", "--mu", "2", "--alpha", "0.2"])
         assert exc.value.code == 2
+
+    def test_fixed_point_below_double_range_exits_1(self, capsys):
+        assert run_cli(
+            ["theory", "--pi0", "0.99", "--mu", "0.1", "--alpha", "0.001", "--theta", "0"]
+        ) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t* is below double range" in captured.err
+
+    def test_does_not_import_scipy_optimize(self, tmp_path):
+        # the fixed point's Brent step is in the package, so no command pays
+        # for scipy.optimize (about 23 MB resident and 0.3 s at import)
+        code = (
+            "import sys\n"
+            "from equifdp.cli import main\n"
+            "rc = main(['theory', '--pi0', '0.5', '--mu', '2', '--alpha', '0.2', '--theta', '0'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+        src = str(Path(equifdp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_writes_files(self, tmp_path, capsys):
         out = tmp_path / "th"
