@@ -21,21 +21,11 @@ from .model import (
     RhoSequence,
     RngStream,
     Sample,
-    StepEcdf,
     ThetaOverM,
-    ecdf_triple,
     sample,
     write_sample_csv,
 )
-from .procedures import (
-    BH,
-    FixedThreshold,
-    RejectionResult,
-    ThresholdProcedure,
-    apply_procedure,
-    bh_threshold,
-    fdp_at,
-)
+from .procedures import BH, FixedThreshold, ThresholdProcedure
 from .asymptotics import (
     AsymptoticLaw,
     MixtureCdf,
@@ -45,7 +35,7 @@ from .asymptotics import (
     fluctuation_weights,
     variance_components,
 )
-from .oracle import OracleParams, oracle_law, t_star_rho, transform
+from .oracle import OracleParams, t_star_rho
 from .experiment import (
     ExperimentConfig,
     ExperimentSummary,
@@ -79,22 +69,16 @@ __all__ = [
     "ModelParams",
     "RngStream",
     "Sample",
-    "StepEcdf",
     "ThetaOverM",
     "PowerLaw",
     "FixedRho",
     "RhoSequence",
     "sample",
-    "ecdf_triple",
     "write_sample_csv",
     # procedures
     "BH",
     "FixedThreshold",
     "ThresholdProcedure",
-    "RejectionResult",
-    "bh_threshold",
-    "apply_procedure",
-    "fdp_at",
     # asymptotics
     "MixtureCdf",
     "AsymptoticLaw",
@@ -105,9 +89,7 @@ __all__ = [
     "ecdf_limit_cov",
     # oracle
     "OracleParams",
-    "transform",
     "t_star_rho",
-    "oracle_law",
     # experiment
     "ExperimentConfig",
     "ExperimentSummary",

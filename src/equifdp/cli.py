@@ -53,7 +53,7 @@ EXIT_CHECK_FAILED = 3
 
 def _add_model_flags(p: argparse.ArgumentParser, with_m: bool = True) -> None:
     if with_m:
-        p.add_argument("--m", type=int, help="number of hypotheses")
+        p.add_argument("--m", type=int, required=True, help="number of hypotheses")
     p.add_argument("--pi0", type=float, required=True, help="proportion of true nulls")
     p.add_argument("--mu", type=float, required=True, help="alternative mean shift")
     p.add_argument("--alpha", type=float, required=True, help="BH level")
@@ -353,6 +353,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
         return _COMMANDS[args.command](args, parser)
     except EquifdpError as exc:

@@ -41,7 +41,6 @@ from .model import (
     ModelParams,
     RhoSequence,
     RngStream,
-    ThetaOverM,
     _draw_block,
     _p_values,
     _truth_labels,
@@ -188,12 +187,12 @@ def _law_for(
 ) -> tuple[Optional[AsymptoticLaw], Optional[float], list[str]]:
     """(law, a_m, warnings) of a run; law and a_m are None together.
 
-    Oracle mode has one effective regime, theta = -1 under the mu_tilde
-    mixture, for both the law and a_m.
+    Oracle mode takes its mixture and its one effective regime, used for both
+    the law and a_m, from the OracleParams.
     """
     base = config.base_params
     if config.oracle_mode:
-        cdf, regime = MixtureCdf(base.pi0, config.params.mu_tilde), ThetaOverM(-1.0)
+        cdf, regime = config.params.cdf, config.params.rho_seq
     elif config.rho_seq is None:
         return None, None, ["no correlation regime declared; theory fields absent"]
     else:
@@ -342,18 +341,6 @@ class ProbeResult:
     dev_alt: np.ndarray
     cov_null: np.ndarray
     cov_alt: np.ndarray
-
-    def bootstrap_se(self, group: str, n_boot: int = 200, seed: int = 0) -> np.ndarray:
-        """Bootstrap standard errors (over replicates) of the covariance
-        matrix entries for one group."""
-        dev = {"null": self.dev_null, "alt": self.dev_alt}[group]
-        rng = np.random.default_rng(seed)
-        R = dev.shape[0]
-        boots = np.empty((n_boot, dev.shape[1], dev.shape[1]))
-        for b in range(n_boot):
-            idx = rng.integers(0, R, size=R)
-            boots[b] = np.cov(dev[idx].T)
-        return boots.std(axis=0, ddof=1)
 
 
 def ecdf_covariance_probe(

@@ -33,13 +33,11 @@ __all__ = [
     "ModelParams",
     "RngStream",
     "Sample",
-    "StepEcdf",
     "ThetaOverM",
     "PowerLaw",
     "FixedRho",
     "RhoSequence",
     "sample",
-    "ecdf_triple",
     "write_sample_csv",
 ]
 
@@ -132,10 +130,6 @@ class Sample:
     @property
     def m(self) -> int:
         return self.tau.size
-
-    @property
-    def n_null(self) -> int:
-        return int(np.count_nonzero(~self.tau))
 
 
 # --- correlation sequences (asymptotic regime declarations) -----------------
@@ -282,48 +276,6 @@ def sample(params: ModelParams, stream: RngStream) -> Sample:
     row 0 of :func:`_draw_block` from `stream`, with its p-values."""
     x = _draw_block(params, stream.seed, stream.stream_id, 1)[0]
     return Sample(tau=_truth_labels(params), x=x, p=_p_values(x))
-
-
-# --- empirical c.d.f.'s -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepEcdf:
-    """Right-continuous empirical c.d.f. t -> #{jumps <= t} / n.
-
-    Stored as sorted jump locations; evaluation is O(log n) per point via
-    binary search and accepts scalars or arrays.
-    """
-
-    jumps: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.jumps.size
-
-    def count_at(self, t):
-        """Integer jump count #{jumps <= t} (exact, no division)."""
-        c = np.searchsorted(self.jumps, t, side="right")
-        return int(c) if np.isscalar(t) else c
-
-    def __call__(self, t):
-        c = np.searchsorted(self.jumps, t, side="right")
-        out = c / self.n
-        return float(out) if np.isscalar(t) else out
-
-
-def ecdf_triple(s: Sample) -> tuple[StepEcdf, StepEcdf, StepEcdf]:
-    """Empirical c.d.f.'s of the null group, the alternative group, and the
-    pooled p-values, in that order.
-
-    The pooled curve is the exact mixture of the group curves with weights
-    m0/m and (m - m0)/m: the jump counts add, so the identity holds at every
-    t in exact integer arithmetic.
-    """
-    null_p = np.sort(s.p[~s.tau])
-    alt_p = np.sort(s.p[s.tau])
-    all_p = np.sort(s.p)
-    return StepEcdf(null_p), StepEcdf(alt_p), StepEcdf(all_p)
 
 
 def write_sample_csv(s: Sample, path) -> None:

@@ -11,6 +11,8 @@ rows of a p-value block, ``t_star(cdf)`` is the almost-sure limit of the
 threshold under a mixture c.d.f., ``t_dot(cdf, t_star)`` the weight of its
 threshold functional's derivative (a point mass at t*, or None when the
 threshold does not depend on the data), and ``to_dict()`` its JSON view.
+``_apply_procedure_rows`` is the row-wise step-up and tally of a p-value
+block, the one path through which the library thresholds and counts.
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ import numpy as np
 
 from . import asymptotics
 from .errors import DegenerateCrossingError, ParameterError
-from .model import Sample
 
-__all__ = [
-    "BH",
-    "FixedThreshold",
-    "ThresholdProcedure",
-    "RejectionResult",
-    "bh_threshold",
-    "apply_procedure",
-    "fdp_at",
-]
+__all__ = ["BH", "FixedThreshold", "ThresholdProcedure"]
 
 
 @dataclass(frozen=True)
@@ -103,33 +96,6 @@ class FixedThreshold:
 ThresholdProcedure = Union[BH, FixedThreshold]
 
 
-@dataclass(frozen=True)
-class RejectionResult:
-    """Realized threshold, rejection counts, and FDP for one sample.
-
-    fdp is false_rejections / max(rejected, 1); an empty rejection set gives
-    FDP 0 by convention.
-    """
-
-    threshold: float
-    rejected: int
-    false_rejections: int
-    fdp: float
-
-
-def bh_threshold(p: np.ndarray, alpha: float) -> float:
-    """Data-driven BH threshold alpha * k / m, k = max{i : p_(i) <= i*alpha/m}.
-
-    Returns 0.0 when no order statistic clears its line (no rejections).
-    Equivalent to the functional definition max{t : G_m(t) >= t/alpha}; the
-    step-up form is exact and O(m log m).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.size == 0:
-        raise ParameterError("p-value vector must be nonempty")
-    return float(BH(alpha).thresholds(p.reshape(1, -1))[0])
-
-
 def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.ndarray):
     """Run a procedure on every row of a (B, m) p-value array whose columns
     carry the truth labels `tau`.
@@ -139,30 +105,7 @@ def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.
     FDP 0.
     """
     thresholds = procedure.thresholds(p)
-    return (thresholds, *_tally_rows(p, tau, thresholds))
-
-
-def _tally_rows(p: np.ndarray, tau: np.ndarray, thresholds: np.ndarray):
-    rejected_mask = p <= thresholds[:, None]  # ties at the threshold are rejected
+    rejected_mask = p <= thresholds[:, None]
     rejected = np.count_nonzero(rejected_mask, axis=1)
     false_rej = np.count_nonzero(rejected_mask & ~tau, axis=1)
-    return rejected, false_rej, false_rej / np.maximum(rejected, 1)
-
-
-def apply_procedure(procedure: ThresholdProcedure, s: Sample) -> RejectionResult:
-    """Run a procedure on a sample and tally the realized FDP."""
-    threshold, rejected, false_rej, fdp = _apply_procedure_rows(procedure, s.p[None, :], s.tau)
-    return RejectionResult(
-        threshold=float(threshold[0]),
-        rejected=int(rejected[0]),
-        false_rejections=int(false_rej[0]),
-        fdp=float(fdp[0]),
-    )
-
-
-def fdp_at(s: Sample, t: float) -> float:
-    """False discovery proportion of the rejection set {i : p_i <= t}."""
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError(f"t must lie in [0, 1], got {t!r}")
-    _, _, fdp = _tally_rows(s.p[None, :], s.tau, np.array([t]))
-    return float(fdp[0])
+    return thresholds, rejected, false_rej, false_rej / np.maximum(rejected, 1)

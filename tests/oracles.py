@@ -64,6 +64,41 @@ def fdp_recount(tau, p, t):
     return false_rej / max(rej, 1)
 
 
+def group_counts(tau, p, grid):
+    """(#{null p <= g}, #{alternative p <= g}) at each g of the grid: each
+    group's p-values sorted, then counted by binary search."""
+    p = np.asarray(p, dtype=float)
+    tau = np.asarray(tau, dtype=bool)
+    grid = np.asarray(grid, dtype=float)
+    null = np.searchsorted(np.sort(p[~tau]), grid, side="right")
+    alt = np.searchsorted(np.sort(p[tau]), grid, side="right")
+    return null, alt
+
+
+class GivenThresholds:
+    """Stand-in threshold procedure that thresholds row i of a p-value block
+    at t[i] (a scalar t applies to every row), with no range check, so a
+    tally can be read at any t in [0, 1], the endpoints included."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def thresholds(self, p):
+        return np.broadcast_to(np.asarray(self.t, dtype=float), (p.shape[0],))
+
+
+def bootstrap_cov_se(dev, n_boot=200, seed=0):
+    """Bootstrap standard errors, over the rows (replicates) of a deviation
+    matrix, of the entries of its column covariance matrix."""
+    rng = np.random.default_rng(seed)
+    R = dev.shape[0]
+    boots = np.empty((n_boot, dev.shape[1], dev.shape[1]))
+    for b in range(n_boot):
+        idx = rng.integers(0, R, size=R)
+        boots[b] = np.cov(dev[idx].T)
+    return boots.std(axis=0, ddof=1)
+
+
 def mixture_identity_exact(n_null, n_alt, count_null, count_alt, count_all):
     """Exact rational check of the e.c.d.f. mixture identity at one point."""
     m = n_null + n_alt

@@ -31,7 +31,6 @@ from equifdp import (
     ThetaOverM,
     asymptotic_law,
     bh_fixed_point,
-    bh_threshold,
     ecdf_covariance_probe,
     ecdf_limit_cov,
     phi_upper,
@@ -42,6 +41,7 @@ from equifdp import (
 from oracles import (
     bh_closed_forms,
     bh_no_better_between,
+    bootstrap_cov_se,
     bh_threshold_scan_k,
     case_ii_reference_cdf,
     central_difference,
@@ -114,7 +114,7 @@ def test_c01_bh_step_up_equals_functional_max():
         p = rng.uniform(0.0001, 0.9999, size=m)
         if rng.uniform() < 0.3:
             p = p**2
-        t = bh_threshold(p, alpha)
+        t = BH(alpha).thresholds(p[None])[0]
         k = bh_threshold_scan_k(p, alpha)
         ok = ok and (t == alpha * k / m) and bh_no_better_between(p, alpha, k)
         if not ok:
@@ -281,8 +281,8 @@ def test_c08_ecdf_covariance_probe():
     grid = [0.25, 0.5]
     probe = ecdf_covariance_probe(params, grid, replicates=5000, seed=SEED)
     cdf = MixtureCdf(PI0, MU)
-    se_null = probe.bootstrap_se("null", n_boot=200, seed=1)
-    se_alt = probe.bootstrap_se("alt", n_boot=200, seed=1)
+    se_null = bootstrap_cov_se(probe.dev_null, n_boot=200, seed=1)
+    se_alt = bootstrap_cov_se(probe.dev_alt, n_boot=200, seed=1)
     ok = True
     gaps = []
     for a, s in enumerate(grid):

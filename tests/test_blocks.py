@@ -30,12 +30,11 @@ from equifdp import (
     RngStream,
     ThetaOverM,
     ecdf_covariance_probe,
-    ecdf_triple,
     run,
     sample,
 )
 
-from oracles import bh_threshold_scan_k, fdp_recount
+from oracles import bh_threshold_scan_k, fdp_recount, group_counts
 
 SEED = 20260808
 P_MIN = np.nextafter(0.0, 1.0)
@@ -120,16 +119,18 @@ def test_replicates_without_rejections(workers):
 
 
 @pytest.mark.parametrize("m,replicates", [(3, 40), (1000, 37), (5001, 7)])
-def test_probe_equals_ecdf_triple(m, replicates):
+def test_probe_equals_group_recount(m, replicates):
     params = ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.1)
     grid = np.array([0.05, 0.25, 0.5])
     probe = ecdf_covariance_probe(params, grid, replicates, seed=SEED, stream_offset=5)
     g1 = np.asarray(MixtureCdf(0.5, 2.0).alt_cdf(grid))
     root_m = math.sqrt(m)
     for r in range(replicates):
-        null_ecdf, alt_ecdf, _ = ecdf_triple(sample(params, RngStream(SEED, 5 + r)))
-        np.testing.assert_array_equal(probe.dev_null[r], root_m * (null_ecdf(grid) - grid))
-        np.testing.assert_array_equal(probe.dev_alt[r], root_m * (alt_ecdf(grid) - g1))
+        s = sample(params, RngStream(SEED, 5 + r))
+        null, alt = group_counts(s.tau, s.p, grid)
+        n_null = np.count_nonzero(~s.tau)
+        np.testing.assert_array_equal(probe.dev_null[r], root_m * (null / n_null - grid))
+        np.testing.assert_array_equal(probe.dev_alt[r], root_m * (alt / (m - n_null) - g1))
 
 
 def test_oracle_run_evaluates_p_values_once(monkeypatch):

@@ -162,6 +162,24 @@ class TestSimulate:
             )
         assert exc.value.code == 2
 
+    def test_missing_m_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["simulate", "--theta", "1", "--pi0", "0.5", "--mu", "2",
+                 "--alpha", "0.2", "--replicates", "5"]
+            )
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workers, tmp_path, capsys):
+        out = tmp_path / "none"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(SIM_ARGS + ["--workers", workers, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_sets_outdir(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from_env"
         monkeypatch.setenv(cli.ENV_OUTDIR, str(envdir))
@@ -231,6 +249,15 @@ class TestOracleCommand:
                  "--alpha", "0.2", "--replicates", "50"]
             )
         assert exc.value.code == 2
+
+    def test_missing_m_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["oracle", "--rho", "0.3", "--pi0", "0.5", "--mu", "2",
+                 "--alpha", "0.2", "--replicates", "5"]
+            )
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
 
     def test_run_and_config_echo(self, tmp_path):
         out = tmp_path / "oracle"

@@ -28,6 +28,7 @@ from equifdp import (
     write_replicates_csv,
     write_summary_json,
 )
+from oracles import bootstrap_cov_se
 
 SMALL = ExperimentConfig(
     params=ModelParams(m=400, pi0=0.5, mu=2.0, rho=0.0),
@@ -254,14 +255,14 @@ class TestCovarianceProbe:
         grid = [0.25, 0.5]
         probe = ecdf_covariance_probe(params, grid, replicates=1200, seed=41)
         cdf = MixtureCdf(0.5, 2.0)
+        se_null = bootstrap_cov_se(probe.dev_null, n_boot=120, seed=1)
+        se_alt = bootstrap_cov_se(probe.dev_alt, n_boot=120, seed=1)
         for a, s in enumerate(grid):
             for b, t in enumerate(grid):
                 target0 = ecdf_limit_cov(cdf, 0.0, "null", s, t)
                 target1 = ecdf_limit_cov(cdf, 0.0, "alt", s, t)
-                se0 = probe.bootstrap_se("null", n_boot=120, seed=1)[a, b]
-                se1 = probe.bootstrap_se("alt", n_boot=120, seed=1)[a, b]
-                assert abs(probe.cov_null[a, b] - target0) <= 4.0 * se0
-                assert abs(probe.cov_alt[a, b] - target1) <= 4.0 * se1
+                assert abs(probe.cov_null[a, b] - target0) <= 4.0 * se_null[a, b]
+                assert abs(probe.cov_alt[a, b] - target1) <= 4.0 * se_alt[a, b]
 
     def test_positive_theta_inflates_probe_variance(self):
         # at rho = theta/m the e.c.d.f. fluctuation variance picks up the
@@ -273,7 +274,7 @@ class TestCovarianceProbe:
         cdf = MixtureCdf(0.5, 2.0)
         target = ecdf_limit_cov(cdf, theta, "null", t, t)
         bare = ecdf_limit_cov(cdf, 0.0, "null", t, t)
-        se = probe.bootstrap_se("null", n_boot=150, seed=2)[0, 0]
+        se = bootstrap_cov_se(probe.dev_null, n_boot=150, seed=2)[0, 0]
         assert abs(probe.cov_null[0, 0] - target) <= 4.0 * se
         assert probe.cov_null[0, 0] > bare + 4.0 * se  # strictly above rho=0
 

@@ -1,15 +1,22 @@
-"""Every exported name resolves, in the package and in each submodule.
+"""Every exported name resolves, in the package and in each submodule, and
+every name the demos and the README import from the package exists.
 
 A name left in an ``__all__`` after its definition is deleted would
-otherwise fail only at ``from equifdp import *``.
+otherwise fail only at ``from equifdp import *``, and a deleted name that a
+documented entry point imports only when someone runs it.
 """
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import equifdp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULES = ["equifdp"] + [
     f"equifdp.{info.name}" for info in pkgutil.iter_modules(equifdp.__path__)
@@ -22,3 +29,30 @@ def test_all_names_resolve(module_name):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
 
+
+def _documented_sources():
+    """(label, source) of each demo and each python block of the README."""
+    sources = [(path.name, path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    sources += [(f"README.md[{i}]", block) for i, block in enumerate(blocks)]
+    return sources
+
+
+def _package_imports(source):
+    """Names of every ``from equifdp import ...`` statement in the source."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "equifdp"
+        for alias in node.names
+    ]
+
+
+DOCUMENTED = _documented_sources()
+
+
+@pytest.mark.parametrize("source", [src for _, src in DOCUMENTED], ids=[l for l, _ in DOCUMENTED])
+def test_documented_imports_resolve(source):
+    names = _package_imports(source)
+    assert names
+    assert [name for name in names if not hasattr(equifdp, name)] == []

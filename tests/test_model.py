@@ -1,21 +1,32 @@
-"""Model parameter validation, sampler distributional checks, and e.c.d.f.'s."""
+"""Model parameter validation, sampler distributional checks, and the
+group counts of the kernel's tally."""
 
 import numpy as np
 import pytest
 
 from equifdp import (
     FixedRho,
+    FixedThreshold,
     ModelParams,
     ParameterError,
     PowerLaw,
     RngStream,
     Sample,
     ThetaOverM,
-    ecdf_triple,
     sample,
     write_sample_csv,
 )
-from oracles import ks_uniform, mixture_identity_exact
+from equifdp.procedures import _apply_procedure_rows
+from oracles import GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
+
+P_MAX = np.nextafter(1.0, 0.0)
+
+
+def pooled_and_null_counts(procedure, s, rows=1):
+    """(rejected, false_rejections): the pooled and null counts of p <= t
+    from the kernel's tally of `rows` copies of one sample."""
+    _, rejected, false_rej, _ = _apply_procedure_rows(procedure, np.tile(s.p, (rows, 1)), s.tau)
+    return rejected, false_rej
 
 
 class TestModelParams:
@@ -94,7 +105,7 @@ class TestSampler:
     def test_truth_layout(self):
         params = ModelParams(m=10, pi0=0.7, mu=1.0, rho=0.0)
         s = sample(params, RngStream(0, 0))
-        assert s.n_null == 7
+        assert np.count_nonzero(~s.tau) == 7
         assert not s.tau[:7].any() and s.tau[7:].all()
 
     def test_p_values_interior_even_for_huge_shift(self):
@@ -166,46 +177,51 @@ class TestSampler:
 
 
 class TestEcdfTriple:
+    """Null, alternative and pooled counts #{p <= t}: the tally's false
+    rejections, their difference, and its rejections."""
+
     def test_two_point_example(self):
         s = Sample(
             tau=np.array([False, True]),
             x=np.array([0.5, -0.5]),
             p=np.array([0.3, 0.7]),
         )
-        g0, g1, g = ecdf_triple(s)
-        assert g0(0.5) == 1.0
-        assert g1(0.5) == 0.0
-        assert g(0.5) == 0.5
+        rejected, false_rej = pooled_and_null_counts(FixedThreshold(0.5), s)
+        assert false_rej[0] == 1  # null e.c.d.f. 1/1
+        assert rejected[0] - false_rej[0] == 0  # alternative e.c.d.f. 0/1
+        assert rejected[0] / 2 == 0.5  # pooled e.c.d.f.
 
     def test_boundary_values(self):
+        # every p-value is clamped to at most the largest float below 1
         params = ModelParams(m=30, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(3, 0))
-        _, _, g = ecdf_triple(s)
-        assert g(1.0) == 1.0
-        assert g(float(s.p.min()) * 0.5) == 0.0
+        assert pooled_and_null_counts(FixedThreshold(P_MAX), s)[0][0] == 30
+        assert pooled_and_null_counts(FixedThreshold(float(s.p.min()) * 0.5), s)[0][0] == 0
 
     def test_mixture_identity_exact_rationals(self):
-        # pooled e.c.d.f. equals the weighted group mixture exactly, checked
-        # in rational arithmetic of counts
+        # pooled count equals the sum of the group counts, and the pooled
+        # e.c.d.f. the weighted group mixture exactly, checked against a
+        # sort-and-search recount in rational arithmetic of counts
         params = ModelParams(m=50, pi0=0.6, mu=1.5, rho=0.1)
         rng = np.random.default_rng(0)
         for r in range(1000):
             s = sample(params, RngStream(11, r))
-            g0, g1, g = ecdf_triple(s)
             ts = rng.uniform(0.0, 1.0, size=100)
-            c0 = np.asarray(g0.count_at(ts))
-            c1 = np.asarray(g1.count_at(ts))
-            call = np.asarray(g.count_at(ts))
-            np.testing.assert_array_equal(c0 + c1, call)
+            call, c0 = pooled_and_null_counts(GivenThresholds(ts), s, rows=100)
+            n0, n1 = group_counts(s.tau, s.p, ts)
+            np.testing.assert_array_equal(c0, n0)
+            np.testing.assert_array_equal(call - c0, n1)
             for k in (0, 37, 99):
-                assert mixture_identity_exact(g0.n, g1.n, c0[k], c1[k], call[k])
+                assert mixture_identity_exact(30, 20, n0[k], n1[k], call[k])
 
     def test_vectorized_evaluation(self):
+        # a block of rows tallies each row as if it were alone
         params = ModelParams(m=40, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(8, 0))
-        _, _, g = ecdf_triple(s)
         ts = np.linspace(0.0, 1.0, 7)
-        np.testing.assert_array_equal(g(ts), [g(float(t)) for t in ts])
+        block = pooled_and_null_counts(GivenThresholds(ts), s, rows=7)
+        single = [pooled_and_null_counts(GivenThresholds(float(t)), s) for t in ts]
+        np.testing.assert_array_equal(block, np.array(single)[:, :, 0].T)
 
 
 def test_sample_csv_dump(tmp_path):

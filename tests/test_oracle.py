@@ -1,4 +1,4 @@
-"""Oracle rescaling for fixed rho: algebra of the transform, distributional
+"""Oracle rescaling for fixed rho: algebra of the rescaling, distributional
 equivalence with the negative-boundary model, and the predicted limit law."""
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from equifdp import (
     BH,
+    ExperimentConfig,
     MixtureCdf,
     ModelParams,
     OracleParams,
@@ -14,13 +15,13 @@ from equifdp import (
     ThetaOverM,
     asymptotic_law,
     bh_fixed_point,
-    oracle_law,
-    phi_upper,
     phi_upper_inv,
+    run,
     sample,
     t_star_rho,
-    transform,
 )
+from equifdp.model import _draw_block
+from equifdp.oracle import _rescale
 
 # pinned with 60-digit bisection: fixed point of the mu/sqrt(0.7) mixture
 T_STAR_RHO_REF = 0.0956375531814413  # pi0=0.5, mu=2, rho=0.3, alpha=0.2
@@ -32,7 +33,8 @@ class TestOracleParams:
     def test_derived_quantities(self):
         params = OracleParams(BASE)
         assert params.mu_tilde == pytest.approx(2.0 / np.sqrt(0.7), rel=1e-15)
-        assert params.rho_tilde == -1.0 / 4999
+        assert params.cdf == MixtureCdf(0.5, params.mu_tilde)
+        assert params.rho_seq == ThetaOverM(-1.0)
         assert params.scale > 1.0
         assert params.scale == pytest.approx(np.sqrt(5000 / (4999 * 0.7)), rel=1e-15)
 
@@ -47,28 +49,21 @@ class TestOracleParams:
 
 class TestTransform:
     def test_algebra_and_labels(self):
+        # the formula on one row, and a block rescaled row by row
         params = OracleParams(ModelParams(m=200, pi0=0.5, mu=2.0, rho=0.3))
         s = sample(params.base, RngStream(1, 0))
-        st = transform(s, params)
-        np.testing.assert_array_equal(st.tau, s.tau)
         expected = params.scale * (s.x - s.x.mean() + 0.5 * 2.0)
-        np.testing.assert_allclose(st.x, expected, rtol=1e-15)
-        np.testing.assert_allclose(st.p, phi_upper(st.x), rtol=1e-15)
-
-    def test_mismatched_sample_rejected(self):
-        params = OracleParams(ModelParams(m=200, pi0=0.5, mu=2.0, rho=0.3))
-        other = sample(ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.3), RngStream(1, 0))
-        with pytest.raises(ParameterError):
-            transform(other, params)
+        np.testing.assert_allclose(_rescale(s.x, params), expected, rtol=1e-15)
+        block = _draw_block(params.base, 1, 0, 3)
+        rows = [_rescale(sample(params.base, RngStream(1, r)).x, params) for r in range(3)]
+        np.testing.assert_array_equal(_rescale(block, params), rows)
 
     def test_empirical_equicorrelation(self):
         # transformed vector has equi-correlation -1/(m-1), checked over
         # 2e4 replicates at m=50 within 3 MC standard errors
         m, R = 50, 20_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
-        xs = np.empty((R, m))
-        for r in range(R):
-            xs[r] = transform(sample(params.base, RngStream(13, r)), params).x
+        xs = _rescale(_draw_block(params.base, 13, 0, R), params)
         centered = xs - xs.mean(axis=0)
         target = -1.0 / (m - 1)
         se = 3.0 * np.sqrt((1.0 + target**2) / R)
@@ -82,9 +77,7 @@ class TestTransform:
     def test_alternative_mean_is_scaled_shift(self):
         m, R = 50, 20_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
-        col = np.empty(R)
-        for r in range(R):
-            col[r] = transform(sample(params.base, RngStream(14, r)), params).x[40]
+        col = _rescale(_draw_block(params.base, 14, 0, R), params)[:, 40]
         assert abs(col.mean() - params.scale * 2.0) <= 3.0 / np.sqrt(R)
 
     def test_near_zero_rho_transform_is_nearly_identity(self):
@@ -92,23 +85,20 @@ class TestTransform:
         # change stays below 0.05 with overwhelming probability
         params = OracleParams(ModelParams(m=100_000, pi0=0.5, mu=2.0, rho=1e-6))
         s = sample(params.base, RngStream(15, 0))
-        st = transform(s, params)
-        assert np.max(np.abs(st.x - s.x)) <= 0.05
+        assert np.max(np.abs(_rescale(s.x, params) - s.x)) <= 0.05
 
     def test_distributionally_equivalent_to_negative_boundary_model(self):
-        # transform(sample(base)) must match direct samples of the model with
-        # shift scale*mu and rho = -1/(m-1): group means, marginal variance,
-        # and pairwise covariance agree within 4 combined MC standard errors
+        # rescaled draws of the base model must match direct samples of the
+        # model with shift scale*mu and rho = -1/(m-1): group means, marginal
+        # variance, and pairwise covariance agree within 4 combined MC
+        # standard errors
         m, R = 20, 10_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
         direct_params = ModelParams(
             m=m, pi0=0.5, mu=params.scale * 2.0, rho=-1.0 / (m - 1)
         )
-        xt = np.empty((R, m))
-        xd = np.empty((R, m))
-        for r in range(R):
-            xt[r] = transform(sample(params.base, RngStream(16, r)), params).x
-            xd[r] = sample(direct_params, RngStream(17, r)).x
+        xt = _rescale(_draw_block(params.base, 16, 0, R), params)
+        xd = _draw_block(direct_params, 17, 0, R)
         se_mean = 4.0 * np.sqrt(2.0) / np.sqrt(R)
         assert abs(xt[:, :10].mean() - xd[:, :10].mean()) <= se_mean / np.sqrt(10)
         assert abs(xt[:, 10:].mean() - xd[:, 10:].mean()) <= se_mean / np.sqrt(10)
@@ -123,8 +113,6 @@ class TestTransform:
 def test_transformed_fdp_variance_scales_as_one_over_m():
     # after the rescaling, var(FDP) drops by ~4x when m quadruples (the
     # sqrt(m) rate is back); band [0.17, 0.37] leaves room for MC noise
-    from equifdp import BH, ExperimentConfig, run
-
     def var_at(m):
         cfg = ExperimentConfig(
             params=OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3)),
@@ -155,11 +143,21 @@ class TestOracleFixedPoint:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def rescaled_law(base, alpha):
+    """Limit law of the rescaled FDP from the OracleParams' own mixture and
+    effective regime."""
+    params = OracleParams(base)
+    return asymptotic_law(params.cdf, BH(alpha), params.rho_seq)
+
+
 class TestOracleLaw:
     def test_matches_generic_pipeline(self):
-        law = oracle_law(BASE, 0.2)
+        # an oracle run's law is the theta = -1 law of the mixture with
+        # shift mu / sqrt(1 - rho), built here from the formula
+        config = ExperimentConfig(params=OracleParams(BASE), procedure=BH(0.2), replicates=2)
+        law = run(config).law
         generic = asymptotic_law(
-            MixtureCdf(0.5, OracleParams(BASE).mu_tilde), BH(0.2), ThetaOverM(-1.0)
+            MixtureCdf(0.5, 2.0 / np.sqrt(1.0 - 0.3)), BH(0.2), ThetaOverM(-1.0)
         )
         assert law == generic
         assert law.theta == -1.0
@@ -167,7 +165,7 @@ class TestOracleLaw:
 
     def test_closed_form_variance(self):
         # sqrt(m)-rate variance: pi0*a^2*(1-t)/t - pi0^2*a^2/(2*pi*t^2)e^{-q(t)^2}
-        law = oracle_law(BASE, 0.2)
+        law = rescaled_law(BASE, 0.2)
         t = law.t_star
         closed = 0.5 * 0.04 * (1 - t) / t - 0.25 * 0.04 / (
             2.0 * np.pi * t**2
@@ -181,7 +179,7 @@ class TestOracleLaw:
                 for rho in (0.1, 0.3, 0.5, 0.7):
                     for alpha in (0.05, 0.2):
                         base = ModelParams(m=1000, pi0=pi0, mu=mu, rho=rho)
-                        assert oracle_law(base, alpha).variance > 0.0
+                        assert rescaled_law(base, alpha).variance > 0.0
 
     def test_center_is_pi0_alpha(self):
-        assert abs(oracle_law(BASE, 0.2).center - 0.1) <= 1e-12
+        assert abs(rescaled_law(BASE, 0.2).center - 0.1) <= 1e-12

@@ -1,4 +1,8 @@
-"""BH step-up threshold, rejection bookkeeping, and FDP counting."""
+"""BH step-up threshold, rejection bookkeeping, and FDP counting.
+
+The library thresholds and tallies through one row-wise kernel,
+``_apply_procedure_rows``; these tests run it on one row.
+"""
 
 import numpy as np
 import pytest
@@ -9,37 +13,47 @@ from equifdp import (
     ModelParams,
     ParameterError,
     RngStream,
-    apply_procedure,
-    bh_threshold,
-    ecdf_triple,
-    fdp_at,
+    Sample,
     sample,
 )
-from oracles import bh_no_better_between, bh_threshold_scan_k, fdp_recount
+from equifdp.procedures import _apply_procedure_rows
+from oracles import (
+    GivenThresholds,
+    bh_no_better_between,
+    bh_threshold_scan_k,
+    fdp_recount,
+    group_counts,
+)
+
+
+def bh(p, alpha):
+    """BH threshold of one p-value vector."""
+    return BH(alpha).thresholds(np.asarray(p)[None])[0]
+
+
+def tally(procedure, s):
+    """(threshold, rejected, false_rejections, fdp) of one sample."""
+    return tuple(col[0] for col in _apply_procedure_rows(procedure, s.p[None], s.tau))
 
 
 class TestBhThreshold:
     def test_worked_example(self):
         p = np.array([0.01, 0.02, 0.9, 0.95])
-        t = bh_threshold(p, 0.05)
+        t = bh(p, 0.05)
         assert t == 0.05 * 2 / 4  # k = 2
         assert np.count_nonzero(p <= t) == 2
 
     def test_full_rejection_when_all_small(self):
         p = np.array([0.01, 0.02, 0.03])
-        assert bh_threshold(p, 0.5) == 0.5
+        assert bh(p, 0.5) == 0.5
 
     def test_no_rejection(self):
         p = np.array([0.9, 0.95, 0.99])
-        assert bh_threshold(p, 0.05) == 0.0
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(ParameterError):
-            bh_threshold(np.array([]), 0.1)
+        assert bh(p, 0.05) == 0.0
 
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
-            bh_threshold(np.array([0.5]), 1.0)
+            BH(1.0)
 
     def test_equals_functional_scan_on_random_instances(self):
         # step-up formula vs the exhaustive functional-max oracle in exact
@@ -53,7 +67,7 @@ class TestBhThreshold:
                 p = rng.uniform(0.0001, 0.9999, size=m) ** 2  # pile mass near 0
             else:
                 p = rng.uniform(0.0001, 0.9999, size=m)
-            t = bh_threshold(p, alpha)
+            t = bh(p, alpha)
             k = bh_threshold_scan_k(p, alpha)
             assert t == alpha * k / m
             assert bh_no_better_between(p, alpha, k)
@@ -64,78 +78,76 @@ class TestApplyProcedure:
         params = ModelParams(m=20, pi0=0.5, mu=2.0, rho=0.0)
         s = sample(params, RngStream(4, 0))
         tiny = float(s.p.min()) / 2
-        res = apply_procedure(FixedThreshold(tiny), s)
-        assert res.rejected == 0 and res.fdp == 0.0
+        _, rejected, _, fdp = tally(FixedThreshold(tiny), s)
+        assert rejected == 0 and fdp == 0.0
 
     def test_all_nulls_no_alternatives_rejected(self):
-        from equifdp import Sample
-
         s = Sample(
             tau=np.array([False, False, True, True]),
             x=np.zeros(4),
             p=np.array([0.01, 0.02, 0.8, 0.9]),
         )
-        res = apply_procedure(FixedThreshold(0.05), s)
-        assert res.rejected == 2 and res.false_rejections == 2
-        assert res.fdp == 1.0
+        _, rejected, false_rej, fdp = tally(FixedThreshold(0.05), s)
+        assert rejected == 2 and false_rej == 2
+        assert fdp == 1.0
 
     def test_ties_at_threshold_are_rejected(self):
-        from equifdp import Sample
-
         s = Sample(
             tau=np.array([False, True, True]),
             x=np.zeros(3),
             p=np.array([0.3, 0.1, 0.9]),
         )
-        res = apply_procedure(FixedThreshold(0.3), s)
-        assert res.rejected == 2  # p = 0.3 exactly counts
+        _, rejected, _, _ = tally(FixedThreshold(0.3), s)
+        assert rejected == 2  # p = 0.3 exactly counts
 
     def test_matches_brute_force_recount(self):
         params = ModelParams(m=20, pi0=0.5, mu=2.0, rho=0.1)
         for r in range(50):
             s = sample(params, RngStream(6, r))
-            res = apply_procedure(BH(0.2), s)
-            assert res.fdp == fdp_recount(s.tau, s.p, res.threshold)
-            assert res.false_rejections <= res.rejected <= 20
+            threshold, rejected, false_rej, fdp = tally(BH(0.2), s)
+            assert fdp == fdp_recount(s.tau, s.p, threshold)
+            assert false_rej <= rejected <= 20
 
     def test_count_identity_with_ecdf(self):
-        # rejected = m * pooled_ecdf(threshold), exactly in integer counts
+        # rejected = m * pooled_ecdf(threshold), exactly in integer counts,
+        # against a sort-and-search recount of each group
         params = ModelParams(m=35, pi0=0.5, mu=1.5, rho=0.0)
         for r in range(20):
             s = sample(params, RngStream(12, r))
-            res = apply_procedure(BH(0.3), s)
-            _, _, g = ecdf_triple(s)
-            assert res.rejected == g.count_at(res.threshold)
+            threshold, rejected, false_rej, _ = tally(BH(0.3), s)
+            null, alt = group_counts(s.tau, s.p, [threshold])
+            assert rejected == null[0] + alt[0]
+            assert false_rej == null[0]
 
 
 class TestFdpAt:
+    """The kernel's tally read at a given threshold t."""
+
     def test_zero_threshold(self):
         params = ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(2, 0))
-        assert fdp_at(s, 0.0) == 0.0
+        assert tally(GivenThresholds(0.0), s)[3] == 0.0
 
     def test_one_threshold_gives_null_fraction(self):
         params = ModelParams(m=10, pi0=0.7, mu=1.0, rho=0.0)
         s = sample(params, RngStream(2, 1))
-        assert fdp_at(s, 1.0) == 7 / 10
+        assert tally(GivenThresholds(1.0), s)[3] == 7 / 10
 
     def test_median_matches_recount(self):
         params = ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(2, 2))
         t = float(np.median(s.p))
-        assert fdp_at(s, t) == fdp_recount(s.tau, s.p, t)
+        assert tally(GivenThresholds(t), s)[3] == fdp_recount(s.tau, s.p, t)
 
     def test_counts_monotone_in_threshold(self):
         params = ModelParams(m=30, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(2, 3))
         ts = np.linspace(0.0, 1.0, 50)
-        num = [np.count_nonzero((s.p <= t) & ~s.tau) for t in ts]
-        den = [np.count_nonzero(s.p <= t) for t in ts]
+        _, den, num, _ = _apply_procedure_rows(GivenThresholds(ts), np.tile(s.p, (50, 1)), s.tau)
         assert all(a <= b for a, b in zip(num, num[1:]))
         assert all(a <= b for a, b in zip(den, den[1:]))
+        assert den[0] == 0 and den[-1] == 30
 
     def test_out_of_range_threshold(self):
-        params = ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0)
-        s = sample(params, RngStream(2, 4))
         with pytest.raises(ParameterError):
-            fdp_at(s, 1.5)
+            FixedThreshold(1.5)
