@@ -13,9 +13,10 @@ subcommand; explicit flags override it.  The output directory defaults to
 ``./equifdp_out``, overridable by the ``EQUIFDP_OUTDIR`` environment variable
 and the ``--out`` flag, in increasing precedence.
 
-Exit codes: 0 on completed computation, 2 on usage errors, 1 on runtime
-failures.  Statistical tolerance violations are reported inside the JSON
-only, unless ``--check`` is given, which turns them into exit code 3.
+Exit codes: 0 on completed computation, 2 on usage errors (a flag value the
+library rejects with a ParameterError included), 1 on runtime failures.
+Statistical tolerance violations are reported inside the JSON only, unless
+``--check`` is given, which turns them into exit code 3.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .asymptotics import MixtureCdf, asymptotic_law
-from .errors import EquifdpError
+from .errors import EquifdpError, ParameterError
 from .experiment import (
     ExperimentConfig,
     check_tolerances,
@@ -60,7 +61,7 @@ def _add_model_flags(p: argparse.ArgumentParser, with_m: bool = True) -> None:
 
 
 def _add_regime_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--rho", type=float, help="equi-correlation held fixed in m")
     g.add_argument("--theta", type=float, help="regime rho_m = theta/m")
     g.add_argument("--gamma", type=float, help="regime rho_m = rho-coef * m**-gamma")
@@ -77,6 +78,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="exit nonzero when statistical tolerances are violated")
     p.add_argument("--config", type=str, default=None,
                    help="flat key=value file mirroring flag names; flags override")
+
+
+def _m_grid(text: str) -> tuple[int, ...]:
+    """--m-grid as one or more integers; the library checks their values."""
+    try:
+        grid = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        grid = ()
+    if not grid:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sim)
 
     p_rate = sub.add_parser("rate-study", help="simulate across a grid of m values")
-    p_rate.add_argument("--m-grid", type=str, required=True,
+    p_rate.add_argument("--m-grid", type=_m_grid, required=True,
                         help="comma-separated increasing m values (>= 3)")
     _add_model_flags(p_rate, with_m=False)
     _add_regime_flags(p_rate)
@@ -193,26 +205,26 @@ def _procedure_from(args) -> BH | FixedThreshold:
     return BH(args.alpha)
 
 
-def _regime_from(args, parser: argparse.ArgumentParser, m: int):
+def _regime_from(args, m: int):
     """Map regime flags to (rho at this m, declared sequence or None)."""
     if args.theta is not None:
         seq = ThetaOverM(args.theta)
-        return seq.rho_at(m), seq
-    if args.gamma is not None:
+    elif args.gamma is not None:
         seq = PowerLaw(args.rho_coef, args.gamma)
-        return seq.rho_at(m), seq
-    if args.rho is not None:
-        if args.rho == 0.0:
-            seq = ThetaOverM(0.0)
-            return 0.0, seq
-        if 0.0 < args.rho < 1.0:
-            return args.rho, FixedRho(args.rho)
-        # fixed negative or boundary rho: valid model, no declared regime
+    elif args.rho == 0.0:
+        seq = ThetaOverM(0.0)
+    elif 0.0 < args.rho < 1.0:
+        seq = FixedRho(args.rho)
+    else:
+        # fixed negative or boundary rho: the model checks it; no declared regime
         return args.rho, None
-    parser.error("one of --rho, --theta, --gamma is required")
+    return seq.rho_at(m), seq
 
 
-def _finish_run(args, summary, outdir: Path) -> int:
+def _run_and_write(args, config: ExperimentConfig) -> int:
+    outdir = _outdir(args)
+    _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
+    summary = run(config, workers=args.workers)
     write_replicates_csv(summary, outdir / "replicates.csv")
     write_summary_json(summary, outdir / "summary.json")
     violations = check_tolerances(summary)
@@ -230,7 +242,7 @@ def _finish_run(args, summary, outdir: Path) -> int:
 # --- subcommands -----------------------------------------------------------------
 
 
-def _cmd_theory(args, parser) -> int:
+def _cmd_theory(args) -> int:
     cdf = MixtureCdf(args.pi0, args.mu)
     procedure = _procedure_from(args)
     # case-ii variance does not depend on the power-law constants; any
@@ -265,8 +277,8 @@ def _cmd_theory(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args, parser) -> int:
-    rho, rho_seq = _regime_from(args, parser, args.m)
+def _cmd_simulate(args) -> int:
+    rho, rho_seq = _regime_from(args, args.m)
     params = ModelParams(m=args.m, pi0=args.pi0, mu=args.mu, rho=rho)
     config = ExperimentConfig(
         params=params,
@@ -275,54 +287,41 @@ def _cmd_simulate(args, parser) -> int:
         replicates=args.replicates,
         seed=args.seed,
     )
-    outdir = _outdir(args)
-    _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
-    summary = run(config, workers=args.workers)
-    return _finish_run(args, summary, outdir)
+    return _run_and_write(args, config)
 
 
-def _cmd_rate_study(args, parser) -> int:
-    try:
-        grid = tuple(int(tok) for tok in args.m_grid.split(",") if tok.strip())
-    except ValueError:
-        parser.error(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
-    if len(grid) < 3:
-        parser.error("--m-grid needs at least 3 points")
-    m0 = grid[0]
-    rho, rho_seq = _regime_from(args, parser, m0)
-    params = ModelParams(m=m0, pi0=args.pi0, mu=args.mu, rho=rho)
+def _cmd_rate_study(args) -> int:
+    rho, rho_seq = _regime_from(args, args.m_grid[0])
+    params = ModelParams(m=args.m_grid[0], pi0=args.pi0, mu=args.mu, rho=rho)
     config = ExperimentConfig(
         params=params,
         procedure=_procedure_from(args),
         rho_seq=rho_seq,
         replicates=args.replicates,
         seed=args.seed,
-        m_grid=grid,
+        m_grid=args.m_grid,
     )
     outdir = _outdir(args)
     _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
     result = rate_study(config, workers=args.workers)
     result.write_csv(outdir / "rate_study.csv")
+    violations = {str(s.m): check_tolerances(s) for s in result.rows}
     _write_json(
         outdir / "summary.json",
         {
             "version": __version__,
             "config": config_to_dict(config),
             "rows": result.table(),
-            "tolerance_violations": {
-                str(s.m): check_tolerances(s) for s in result.rows
-            },
+            "tolerance_violations": violations,
         },
     )
-    print(f"wrote {outdir}/rate_study.csv with {len(grid)} rows")
-    if args.check and any(check_tolerances(s) for s in result.rows):
+    print(f"wrote {outdir}/rate_study.csv with {len(result.rows)} rows")
+    if args.check and any(violations.values()):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def _cmd_oracle(args, parser) -> int:
-    if not (0.0 < args.rho < 1.0):
-        parser.error(f"--rho must lie strictly inside (0, 1), got {args.rho}")
+def _cmd_oracle(args) -> int:
     base = ModelParams(m=args.m, pi0=args.pi0, mu=args.mu, rho=args.rho)
     config = ExperimentConfig(
         params=OracleParams(base),
@@ -330,10 +329,7 @@ def _cmd_oracle(args, parser) -> int:
         replicates=args.replicates,
         seed=args.seed,
     )
-    outdir = _outdir(args)
-    _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
-    summary = run(config, workers=args.workers)
-    return _finish_run(args, summary, outdir)
+    return _run_and_write(args, config)
 
 
 _COMMANDS = {
@@ -356,7 +352,9 @@ def main(argv=None) -> int:
     if getattr(args, "workers", 1) < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args)
+    except ParameterError as exc:
+        parser.error(str(exc))
     except EquifdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

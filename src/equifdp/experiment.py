@@ -35,13 +35,14 @@ import numpy as np
 from scipy import special
 
 from ._version import __version__
-from .asymptotics import AsymptoticLaw, MixtureCdf, asymptotic_law
+from .asymptotics import AsymptoticLaw, asymptotic_law
 from .errors import ParameterError, RegimeError
 from .model import (
     ModelParams,
     RhoSequence,
     RngStream,
     _draw_block,
+    _is_int,
     _p_values,
     _truth_labels,
 )
@@ -75,10 +76,6 @@ _BLOCK_ELEMS = 16384
 
 def _block_rows(m: int) -> int:
     return max(1, _BLOCK_ELEMS // m)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,8 @@ class ExperimentConfig:
             grid = tuple(self.m_grid)
             if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ParameterError("m_grid must be increasing with >= 3 points")
+            for m in grid:
+                _config_at_m(self, m)  # the model checks every point before any runs
 
     @property
     def base_params(self) -> ModelParams:
@@ -161,6 +160,10 @@ def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
     """One-sample KS distance of `values` from N(0, sd**2), fully specified."""
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
+    if n == 0:
+        raise ParameterError("values must be a nonempty sample")
+    if not (sd > 0.0 and math.isfinite(sd)):
+        raise ParameterError(f"sd must be positive and finite, got {sd!r}")
     cdf = special.ndtr(x / sd)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
@@ -187,21 +190,17 @@ def _law_for(
 ) -> tuple[Optional[AsymptoticLaw], Optional[float], list[str]]:
     """(law, a_m, warnings) of a run; law and a_m are None together.
 
-    Oracle mode takes its mixture and its one effective regime, used for both
-    the law and a_m, from the OracleParams.
+    The mixture is the params' own; oracle mode also takes its one effective
+    regime, used for both the law and a_m, from the OracleParams.
     """
-    base = config.base_params
-    if config.oracle_mode:
-        cdf, regime = config.params.cdf, config.params.rho_seq
-    elif config.rho_seq is None:
+    regime = config.params.rho_seq if config.oracle_mode else config.rho_seq
+    if regime is None:
         return None, None, ["no correlation regime declared; theory fields absent"]
-    else:
-        cdf, regime = MixtureCdf(base.pi0, base.mu), config.rho_seq
     try:
-        law = asymptotic_law(cdf, config.procedure, regime)
+        law = asymptotic_law(config.params.cdf, config.procedure, regime)
     except RegimeError as exc:
         return None, None, [f"regime warning: {exc}"]
-    return law, regime.a_m(base.m), []
+    return law, regime.a_m(config.base_params.m), []
 
 
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
@@ -304,12 +303,11 @@ class RateStudyResult:
 
 def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:
     base = config.base_params
-    if config.oracle_mode:
-        new_base = ModelParams(m=m, pi0=base.pi0, mu=base.mu, rho=base.rho)
-        return replace(config, params=OracleParams(new_base), m_grid=None)
     rho = base.rho if config.rho_seq is None else config.rho_seq.rho_at(m)
-    new_base = ModelParams(m=m, pi0=base.pi0, mu=base.mu, rho=rho)
-    return replace(config, params=new_base, m_grid=None)
+    params = ModelParams(m=m, pi0=base.pi0, mu=base.mu, rho=rho)
+    if config.oracle_mode:
+        params = OracleParams(params)
+    return replace(config, params=params, m_grid=None)
 
 
 def rate_study(config: ExperimentConfig, workers: int = 1) -> RateStudyResult:
@@ -366,8 +364,7 @@ def ecdf_covariance_probe(
         raise ParameterError(
             f"replicates must be an integer >= 2 for a covariance, got {replicates!r}"
         )
-    cdf = MixtureCdf(params.pi0, params.mu)
-    g1 = np.asarray(cdf.alt_cdf(grid))
+    g1 = np.asarray(params.cdf.alt_cdf(grid))
     m0 = params.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)

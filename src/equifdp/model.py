@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from .asymptotics import MixtureCdf
 from .errors import EquifdpError, ParameterError
 from .gaussian import phi_upper
 
@@ -49,6 +50,10 @@ _P_MIN = np.nextafter(0.0, 1.0)
 _P_MAX = np.nextafter(1.0, 0.0)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model tuple (m, pi0, mu, rho).
@@ -58,20 +63,19 @@ class ModelParams:
             and both groups must be nonempty
     mu   -- positive mean shift under the alternative
     rho  -- equi-correlation, in [-1/(m-1), 1]
+    cdf  -- the p-value mixture c.d.f. MixtureCdf(pi0, mu), which checks both
     """
 
     m: int
     pi0: float
     mu: float
     rho: float
+    cdf: MixtureCdf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
+        if not _is_int(self.m) or self.m < 2:
             raise ParameterError(f"m must be an integer >= 2, got {self.m!r}")
-        if not (0.0 < self.pi0 < 1.0):
-            raise ParameterError(f"pi0 must lie in (0, 1), got {self.pi0!r}")
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ParameterError(f"mu must be positive and finite, got {self.mu!r}")
+        object.__setattr__(self, "cdf", MixtureCdf(self.pi0, self.mu))
         lo = -1.0 / (self.m - 1)
         if not (lo <= self.rho <= 1.0):
             raise ParameterError(
@@ -105,7 +109,7 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not (0 <= v <= _UINT64_MAX):
+            if not _is_int(v) or not (0 <= v <= _UINT64_MAX):
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
@@ -185,8 +189,8 @@ class PowerLaw:
     theta = None
 
     def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ParameterError(f"c must be positive, got {self.c!r}")
+        if not (self.c > 0.0 and math.isfinite(self.c)):
+            raise ParameterError(f"c must be positive and finite, got {self.c!r}")
         if not (0.0 < self.gamma < 1.0):
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma!r}")
 

@@ -206,7 +206,7 @@ class TestInputContracts:
                 replicates=replicates,
             )
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed_checked_at_construction(self, seed):
         with pytest.raises(ParameterError, match="seed"):
             ExperimentConfig(
@@ -216,7 +216,7 @@ class TestInputContracts:
                 seed=seed,
             )
 
-    @pytest.mark.parametrize("workers", [2.5, "2", None])
+    @pytest.mark.parametrize("workers", [2.5, "2", None, True])
     def test_workers_must_be_an_integer(self, workers):
         config = ExperimentConfig(
             params=ModelParams(m=10, pi0=0.5, mu=2.0, rho=0.0),
@@ -226,7 +226,7 @@ class TestInputContracts:
         with pytest.raises(ParameterError, match="workers"):
             run(config, workers=workers)
 
-    @pytest.mark.parametrize("replicates", [2.5, 0, 1])
+    @pytest.mark.parametrize("replicates", [2.5, 0, 1, True])
     def test_probe_needs_two_integer_replicates(self, replicates):
         # one replicate gives no covariance (NaN with a warning); a float
         # count used to die inside numpy

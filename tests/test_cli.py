@@ -2,6 +2,7 @@
 usage errors, config files, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import equifdp
 from equifdp import cli
@@ -282,6 +285,92 @@ class TestOracleCommand:
         run_cli(args + ["--out", str(out1)])
         run_cli(args + ["--out", str(out2)])
         assert (out1 / "replicates.csv").read_bytes() == (out2 / "replicates.csv").read_bytes()
+
+
+# valid values of every other flag a command needs
+VALID_FLAGS = {
+    "simulate": "--m 100 --pi0 0.5 --mu 2 --alpha 0.2 --replicates 5",
+    "rate-study": "--pi0 0.5 --mu 2 --alpha 0.2 --replicates 5",
+    "oracle": "--m 100 --pi0 0.5 --mu 2 --alpha 0.2 --replicates 5",
+    "theory": "--pi0 0.5 --mu 2 --alpha 0.2",
+}
+
+
+# one invalid value per row, added to the valid flags above, and the message
+# it must print: the library's, except for the unparsable --m-grid
+USAGE_ERRORS = [
+    ("simulate --rho 1.5", "rho must lie in [-0.010101010101010102, 1]"),
+    ("simulate --theta 0 --m 1", "m must be an integer >= 2"),
+    ("simulate --theta 0 --replicates 0", "replicates must be an integer >= 1"),
+    ("simulate --theta 0 --seed -1", "seed must be a 64-bit unsigned integer"),
+    ("simulate --theta 0 --pi0 1.5", "pi0 must lie in (0, 1)"),
+    ("simulate --theta -2", "theta must be finite and >= -1"),
+    ("simulate --gamma 1.5", "gamma must lie in (0, 1)"),
+    ("simulate --gamma 0.5 --rho-coef inf", "c must be positive and finite"),
+    ("simulate --theta 0 --threshold 1.5", "threshold must lie in (0, 1)"),
+    ("rate-study --theta 0 --m-grid 100,300,200", "m_grid must be increasing"),
+    ("rate-study --theta 0 --m-grid ,", "--m-grid: must be comma-separated integers"),
+    # the grid's second point, not its first, is outside the model
+    ("rate-study --rho -0.005 --m-grid 100,300,400", "for m=300, got -0.005"),
+    ("oracle --rho 1.0", "oracle transform requires rho in (0, 1)"),
+    ("theory --theta 0 --alpha 1.5", "alpha must lie in (0, 1)"),
+    ("theory --theta 0 --mu nan", "mu must be positive and finite"),
+]
+
+
+def assert_usage_error(argv, message, workdir, capsys):
+    """The command exits 2 through SystemExit, names `message` on stderr and
+    writes nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", "out"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(workdir.iterdir())
+
+
+# finite values outside each float flag's domain, for simulate at m = 100
+_UNIT_OUTSIDE = st.floats(max_value=0.0) | st.floats(min_value=1.0)
+OUTSIDE = {
+    "pi0": _UNIT_OUTSIDE,
+    "mu": st.floats(max_value=0.0),
+    "alpha": _UNIT_OUTSIDE,
+    "rho": st.floats(max_value=-1.0 / 99, exclude_max=True)
+    | st.floats(min_value=1.0, exclude_min=True),
+    "theta": st.floats(max_value=-1.0, exclude_max=True),
+    "gamma": _UNIT_OUTSIDE,
+    "threshold": _UNIT_OUTSIDE,
+}
+FLAG_OUTSIDE_ITS_DOMAIN = st.sampled_from(sorted(OUTSIDE)).flatmap(
+    lambda name: st.tuples(st.just(name), OUTSIDE[name])
+)
+
+
+def with_non_finite_examples(test):
+    """Also run NaN and +-inf, which lie outside every domain, for each flag."""
+    for name in OUTSIDE:
+        for value in (math.nan, math.inf, -math.inf):
+            test = example(case=(name, value))(test)
+    return test
+
+
+class TestInvalidFlagValues:
+    """Every flag value the library rejects is a usage error (exit 2); only
+    runtime failures exit 1."""
+
+    @pytest.mark.parametrize("row,message", USAGE_ERRORS, ids=[row for row, _ in USAGE_ERRORS])
+    def test_exits_2_with_the_library_message(self, row, message, tmp_path, capsys):
+        command, *flags = row.split()
+        argv = [command, *VALID_FLAGS[command].split(), *flags]
+        assert_usage_error(argv, message, tmp_path, capsys)
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @with_non_finite_examples
+    @given(case=FLAG_OUTSIDE_ITS_DOMAIN)
+    def test_float_flag_outside_its_domain(self, case, tmp_path, capsys):
+        name, value = case
+        regime = [] if name in ("rho", "theta", "gamma") else ["--theta", "0"]
+        argv = ["simulate", *VALID_FLAGS["simulate"].split(), *regime, f"--{name}={value!r}"]
+        assert_usage_error(argv, f"{name} must", tmp_path, capsys)
 
 
 def test_version_flag(capsys):

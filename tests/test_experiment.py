@@ -2,6 +2,7 @@
 covariance probe, tolerance checks, and the CSV/JSON interfaces."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -207,6 +208,20 @@ class TestKsStatistic:
         mine = ks_statistic_normal(x, 2.0)
         ref = stats.kstest(x, "norm", args=(0.0, 2.0)).statistic
         assert mine == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "values,sd,message",
+        [
+            ([], 1.0, "nonempty"),
+            ([0.0], 0.0, "sd must be positive and finite"),
+            ([0.0], -1.0, "sd must be positive and finite"),
+            ([0.0], math.nan, "sd must be positive and finite"),
+            ([0.0], math.inf, "sd must be positive and finite"),
+        ],
+    )
+    def test_invalid_input_rejected(self, values, sd, message):
+        with pytest.raises(ParameterError, match=message):
+            ks_statistic_normal(np.array(values), sd)
 
 
 @pytest.fixture(scope="module")

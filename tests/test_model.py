@@ -1,12 +1,15 @@
 """Model parameter validation, sampler distributional checks, and the
 group counts of the kernel's tally."""
 
+import math
+
 import numpy as np
 import pytest
 
 from equifdp import (
     FixedRho,
     FixedThreshold,
+    MixtureCdf,
     ModelParams,
     ParameterError,
     PowerLaw,
@@ -33,6 +36,7 @@ class TestModelParams:
     def test_valid(self):
         p = ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.1)
         assert p.m0 == 50
+        assert p.cdf == MixtureCdf(0.5, 2.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -73,6 +77,9 @@ class TestRhoSequences:
             PowerLaw(2.0, 1.0)
         with pytest.raises(ParameterError):
             PowerLaw(-1.0, 0.5)
+        for c in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="c must be positive and finite"):
+                PowerLaw(c, 0.5)
 
     def test_fixed(self):
         assert FixedRho(0.3).rho_at(12345) == 0.3
@@ -95,7 +102,7 @@ class TestRngStream:
         b = sample(params, RngStream(42, 1))
         assert not np.array_equal(a.x, b.x)
 
-    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -5), (2**64, 0)])
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -5), (2**64, 0), (True, 0), (0, False)])
     def test_rejects_out_of_range(self, seed, stream):
         with pytest.raises(ParameterError):
             RngStream(seed, stream)
