@@ -199,10 +199,9 @@ def _echo_config(outdir: Path, args, extra: dict) -> None:
 
 
 def _procedure_from(args) -> BH | FixedThreshold:
+    bh = BH(args.alpha)  # checks --alpha even where --threshold replaces BH
     threshold = getattr(args, "threshold", None)
-    if threshold is not None:
-        return FixedThreshold(threshold)
-    return BH(args.alpha)
+    return bh if threshold is None else FixedThreshold(threshold)
 
 
 def _regime_from(args, m: int):

@@ -41,9 +41,12 @@ from .model import (
     ModelParams,
     RhoSequence,
     RngStream,
+    _check_streams,
     _draw_block,
+    _generator,
     _is_int,
     _p_values,
+    _stream_states,
     _truth_labels,
 )
 from .oracle import OracleParams, _rescale
@@ -73,9 +76,26 @@ _MIN_DIAGNOSTIC_R = 100
 # and peak memory does not grow with R
 _BLOCK_ELEMS = 16384
 
+# stream ids whose PCG64 states one _stream_states call computes: enough to
+# spread the call's fixed cost, few enough that memory does not grow with R
+_STATE_CHUNK = 1024
+
 
 def _block_rows(m: int) -> int:
     return max(1, _BLOCK_ELEMS // m)
+
+
+def _blocks(seed: int, first: int, n: int, m: int):
+    """(lo, hi, states) of each block of rows lo..hi-1 of n replicates, row
+    r from stream (seed, first + r); the PCG64 states are computed once per
+    chunk of whole blocks."""
+    step = _block_rows(m)
+    chunk = step * max(1, _STATE_CHUNK // step)
+    for c_lo in range(0, n, chunk):
+        c_hi = min(c_lo + chunk, n)
+        states = _stream_states(seed, np.arange(first + c_lo, first + c_hi, dtype=np.uint64))
+        for lo in range(c_lo, c_hi, step):
+            yield lo, min(lo + step, c_hi), states[lo - c_lo : lo - c_lo + step]
 
 
 @dataclass(frozen=True)
@@ -172,12 +192,10 @@ def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
 def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
     """Fill the per-replicate arrays `out` (threshold, rejected,
     false_rejections, fdp), row r from stream first_stream + r, block by
-    block."""
-    base = config.base_params
-    n, step = out[0].shape[0], _block_rows(base.m)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        x = _draw_block(base, config.seed, first_stream + lo, hi - lo)
+    block, with one generator."""
+    base, rng = config.base_params, _generator()
+    for lo, hi, states in _blocks(config.seed, first_stream, out[0].shape[0], base.m):
+        x = _draw_block(base, rng, states)
         if config.oracle_mode:
             x = _rescale(x, config.params)
         rows = _apply_procedure_rows(config.procedure, _p_values(x), _truth_labels(base))
@@ -215,6 +233,7 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
     if not _is_int(workers):
         raise ParameterError(f"workers must be an integer, got {workers!r}")
     R = config.replicates
+    _check_streams(config.seed, stream_offset, R)
     out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
     thresholds, rejected, false_rej, fdp = out
 
@@ -364,14 +383,14 @@ def ecdf_covariance_probe(
         raise ParameterError(
             f"replicates must be an integer >= 2 for a covariance, got {replicates!r}"
         )
+    _check_streams(seed, stream_offset, replicates)
     g1 = np.asarray(params.cdf.alt_cdf(grid))
     m0 = params.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
-    step = _block_rows(params.m)
-    for lo in range(0, replicates, step):
-        hi = min(lo + step, replicates)
-        p = _p_values(_draw_block(params, seed, stream_offset + lo, hi - lo))
+    rng = _generator()
+    for lo, hi, states in _blocks(seed, stream_offset, replicates, params.m):
+        p = _p_values(_draw_block(params, rng, states))
         for j, g in enumerate(grid):
             counts0[lo:hi, j] = np.count_nonzero(p[:, :m0] <= g, axis=1)
             counts1[lo:hi, j] = np.count_nonzero(p[:, m0:] <= g, axis=1)

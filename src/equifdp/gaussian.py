@@ -23,6 +23,7 @@ __all__ = ["phi_upper", "phi_upper_inv", "std_normal_density"]
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_DENSITY_ZERO_FROM = 40.0
 
 
 def _as_finite_array(x, name: str) -> np.ndarray:
@@ -65,5 +66,7 @@ def std_normal_density(z):
     ``-std_normal_density(z)``.
     """
     arr = _as_finite_array(z, "z")
+    # clamped so the square cannot overflow; the density is 0.0 from |z| = 38.6
+    arr = np.minimum(np.abs(arr), _DENSITY_ZERO_FROM)
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out

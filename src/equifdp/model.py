@@ -19,12 +19,14 @@ where the common-factor coefficient vanishes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .asymptotics import MixtureCdf
 from .errors import EquifdpError, ParameterError
@@ -100,7 +102,9 @@ class RngStream:
 
     Identical pairs reproduce identical samples bit for bit on every platform;
     distinct stream_ids give statistically independent streams.  Replicate r
-    of an experiment conventionally uses stream_id = r.
+    of an experiment conventionally uses stream_id = r.  The stream is numpy's
+    PCG64 seeded by ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``;
+    the package computes that state itself (see :func:`_stream_states`).
     """
 
     seed: int
@@ -113,8 +117,7 @@ class RngStream:
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
-        return np.random.Generator(np.random.PCG64(ss))
+        return _seeded(_generator(), _stream_states(self.seed, self.stream_id))
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,130 @@ class FixedRho:
 RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]
 
 
+# --- stream seeding ----------------------------------------------------------
+#
+# Stream (seed, id) is numpy's PCG64 seeded by
+# SeedSequence(entropy=seed, spawn_key=(id,)).  The package computes that
+# state itself: SeedSequence's hash pool and generate_state, then PCG64's
+# srandom.  The mixing uses plain operators masked to 32 bits, so the same
+# code runs on one Python int id and on a uint64 array of ids.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) of n successive hashes whose constant starts at
+    `init` and is multiplied by `mult` before each use."""
+    out, h = [], init
+    for _ in range(n):
+        out.append((h, h * mult & _MASK32))
+        h = out[-1][1]
+    return tuple(out)
+
+
+# SeedSequence's hashmix: 4 hashes fill the pool of 4 words, 12 cross-mix it,
+# then 4 per spawn-key word (at most 2); generate_state hashes 8 words
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 24)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value, consts):
+    xor, mult = consts
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool, word, k: int) -> list:
+    """Mix one spawn-key word into each pool word, with hashes k..k+3."""
+    return [_mix(p, _hash(word, _HASH_A[k + i])) for i, p in enumerate(pool)]
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """SeedSequence's pool once the seed's words, zero-padded to the pool
+    size 4, are hashed in and cross-mixed; it is the same for every id, so
+    it is kept for the last few seeds."""
+    pool = [_hash(w, _HASH_A[k]) for k, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k]))
+                k += 1
+    return tuple(pool)
+
+
+def _srandom(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> tuple[int, int]:
+    """PCG64's srandom: state 0, inc = (seq << 1) | 1, step, add the initial
+    state, step."""
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+    return (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _stream_states(seed: int, ids):
+    """PCG64 (state, inc) of stream (seed, id), bit-identical to
+    ``PCG64(SeedSequence(entropy=seed, spawn_key=(id,)))``.
+
+    `ids` is one int id, giving one pair, or a uint64 array of ids, giving a
+    list of pairs.  Seed and ids must lie in [0, 2**64).
+    """
+    scalar = not isinstance(ids, np.ndarray)
+    if scalar:
+        ids = int(ids)
+    pool = _absorb(_seed_pool(int(seed)), ids & _MASK32, 16)
+    wide = ids >> 32  # an id of 2**32 or more has a second key word
+    if scalar:
+        if wide:
+            pool = _absorb(pool, wide, 20)
+    elif wide.any():
+        pool = [np.where(wide > 0, t, p) for t, p in zip(_absorb(pool, wide, 20), pool)]
+    w = [_hash(pool[i % 4], _HASH_B[i]) for i in range(8)]
+    # generate_state's 64-bit words: initial state (hi, lo), sequence (hi, lo)
+    words = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
+    if scalar:
+        return _srandom(*words)
+    return [_srandom(*q) for q in zip(*(u.tolist() for u in words))]
+
+
+class _Unseeded(ISeedSequence):
+    """Hands PCG64 zero words, so a generator is built without numpy's
+    seeding; its state is set from :func:`_stream_states` before use."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+def _generator() -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_Unseeded()))
+
+
+def _seeded(rng: np.random.Generator, state_inc: tuple[int, int]) -> np.random.Generator:
+    """`rng` moved to the start of the stream with PCG64 state `state_inc`."""
+    state, inc = state_inc
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _check_streams(seed: int, first: int, count: int) -> None:
+    """RngStream's ParameterError unless streams (seed, first) through
+    (seed, first + count - 1) all exist; checked before any is drawn."""
+    RngStream(seed, first)
+    RngStream(seed, first + count - 1)
+
+
 # --- sampling ----------------------------------------------------------------
 
 
@@ -238,21 +365,21 @@ def _truth_labels(params: ModelParams) -> np.ndarray:
     return np.arange(params.m) >= params.m0
 
 
-def _draw_block(params: ModelParams, seed: int, first: int, count: int) -> np.ndarray:
-    """Statistics of `count` instances of the model, one per row of a
-    (count, m) array; row i is drawn from stream (seed, first + i).
+def _draw_block(params: ModelParams, rng: np.random.Generator, states: list) -> np.ndarray:
+    """Statistics of len(states) instances of the model, one per row of a
+    (count, m) array; `rng` draws row i from the stream with PCG64 state
+    states[i] (see :func:`_stream_states`).
 
     Draw order is fixed as part of the reproducibility contract: each stream
     gives m variates for xi, then one for the common factor U.  A row is the
     same bit for bit whatever block it is drawn in.
     """
     m, rho = params.m, params.rho
-    x = np.empty((count, m))
-    u = np.empty((count, 1))
-    for i, row in enumerate(x):
-        rng = RngStream(seed, first + i).generator()
-        rng.standard_normal(out=row)
-        u[i] = rng.standard_normal()
+    x = np.empty((len(states), m))
+    u = np.empty((len(states), 1))
+    for row, u_row, state_inc in zip(x, u, states):
+        _seeded(rng, state_inc).standard_normal(out=row)
+        u_row[0] = rng.standard_normal()
 
     # inner term of the common-factor coefficient can round slightly negative
     # at the boundary rho = -1/(m-1)
@@ -278,7 +405,7 @@ def _p_values(x: np.ndarray) -> np.ndarray:
 def sample(params: ModelParams, stream: RngStream) -> Sample:
     """Draw one instance of the model using the exchangeable factor form:
     row 0 of :func:`_draw_block` from `stream`, with its p-values."""
-    x = _draw_block(params, stream.seed, stream.stream_id, 1)[0]
+    x = _draw_block(params, _generator(), [_stream_states(stream.seed, stream.stream_id)])[0]
     return Sample(tau=_truth_labels(params), x=x, p=_p_values(x))
 
 

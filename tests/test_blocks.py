@@ -49,7 +49,9 @@ def naive_replicate(config, stream_id):
     """(threshold, rejected, false_rejections, fdp) of one replicate."""
     base = config.base_params
     m, rho, mu, pi0 = base.m, base.rho, base.mu, base.pi0
-    rng = RngStream(config.seed, stream_id).generator()
+    # numpy's own seeding, not the package's port of it
+    seeds = np.random.SeedSequence(entropy=config.seed, spawn_key=(stream_id,))
+    rng = np.random.Generator(np.random.PCG64(seeds))
     xi = rng.standard_normal(m)
     u = rng.standard_normal()
     tau = np.array([i >= base.m0 for i in range(m)])
@@ -97,6 +99,42 @@ def test_run_equals_naive_per_replicate(m, rho, procedure, oracle, workers):
     np.testing.assert_array_equal(s.rejected, rejected)
     np.testing.assert_array_equal(s.false_rejections, false_rej)
     np.testing.assert_array_equal(s.fdp, fdp)
+
+
+def test_state_chunks_split_the_range(monkeypatch):
+    # stream states are computed per chunk of whole blocks: at m = 2000 (8
+    # rows per block) a chunk of 20 ids holds 2 blocks, and R = 37 ends in a
+    # partial chunk
+    monkeypatch.setattr(equifdp.experiment, "_STATE_CHUNK", 20)
+    config = ExperimentConfig(
+        params=ModelParams(m=2000, pi0=0.5, mu=2.0, rho=0.3), procedure=BH(0.2),
+        replicates=37, seed=SEED,
+    )
+    s = run(config, stream_offset=3)
+    want = [naive_replicate(config, 3 + r) for r in range(config.replicates)]
+    np.testing.assert_array_equal(s.fdp, [w[3] for w in want])
+    np.testing.assert_array_equal(s.thresholds, [w[0] for w in want])
+
+
+def test_last_streams_equal_naive_per_replicate():
+    # the range ends at the largest stream id, 2**64 - 1
+    config = ExperimentConfig(
+        params=ModelParams(m=50, pi0=0.5, mu=2.0, rho=0.3), procedure=BH(0.2),
+        replicates=5, seed=SEED,
+    )
+    s = run(config, stream_offset=2**64 - 5)
+    want = [naive_replicate(config, 2**64 - 5 + r) for r in range(config.replicates)]
+    np.testing.assert_array_equal(s.fdp, [w[3] for w in want])
+    np.testing.assert_array_equal(s.thresholds, [w[0] for w in want])
+
+
+def test_stream_range_past_the_last_id_is_a_parameter_error():
+    params = ModelParams(m=50, pi0=0.5, mu=2.0, rho=0.3)
+    config = ExperimentConfig(params=params, procedure=BH(0.2), replicates=5, seed=SEED)
+    with pytest.raises(ParameterError, match="stream_id"):
+        run(config, stream_offset=2**64 - 3)
+    with pytest.raises(ParameterError, match="stream_id"):
+        ecdf_covariance_probe(params, [0.5], 5, seed=SEED, stream_offset=2**64 - 3)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

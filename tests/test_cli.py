@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,16 @@ class TestTheory:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "t* is below double range" in captured.err
+
+    def test_huge_shift_runs_without_warnings(self, capsys):
+        # the alternative density at mu = 1e155 squares past double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                ["theory", "--pi0", "0.5", "--mu", "1e155", "--alpha", "0.2", "--theta", "0"]
+            ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert math.isfinite(report["theory"]["variance"])
 
     def test_does_not_import_scipy_optimize(self, tmp_path):
         # the fixed point's Brent step is in the package, so no command pays
@@ -314,6 +325,11 @@ USAGE_ERRORS = [
     ("rate-study --rho -0.005 --m-grid 100,300,400", "for m=300, got -0.005"),
     ("oracle --rho 1.0", "oracle transform requires rho in (0, 1)"),
     ("theory --theta 0 --alpha 1.5", "alpha must lie in (0, 1)"),
+    # --alpha is checked even where a fixed threshold replaces BH
+    ("theory --theta 0 --alpha 1.5 --threshold 0.3", "alpha must lie in (0, 1)"),
+    ("simulate --theta 0 --alpha 1.5 --threshold 0.3", "alpha must lie in (0, 1)"),
+    ("rate-study --theta 0 --m-grid 100,200,400 --alpha 1.5 --threshold 0.3",
+     "alpha must lie in (0, 1)"),
     ("theory --theta 0 --mu nan", "mu must be positive and finite"),
 ]
 

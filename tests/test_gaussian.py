@@ -2,6 +2,8 @@
 high-precision reference values (60-digit arithmetic; see
 tools/gen_gaussian_tables.py)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,17 @@ class TestDensity:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             std_normal_density(np.inf)
+
+    @pytest.mark.parametrize("z", [1e155, -1e155, 1.7e308, -1.7e308])
+    def test_far_tail_is_zero_without_overflow(self, z):
+        # z * z overflows above about 1.3e154; the density there is 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert std_normal_density(z) == 0.0
+            density = std_normal_density(np.array([z, 0.0]))
+            np.testing.assert_array_equal(density, [0.0, std_normal_density(0.0)])
+
+    def test_bits_of_the_plain_formula_up_to_38(self):
+        z = np.linspace(-38.0, 38.0, 7601)
+        plain = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * z * z)
+        np.testing.assert_array_equal(std_normal_density(z), plain)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifdp import (
     FixedRho,
@@ -19,6 +21,7 @@ from equifdp import (
     sample,
     write_sample_csv,
 )
+from equifdp.model import _generator, _seeded, _stream_states
 from equifdp.procedures import _apply_procedure_rows
 from oracles import GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
 
@@ -106,6 +109,48 @@ class TestRngStream:
     def test_rejects_out_of_range(self, seed, stream):
         with pytest.raises(ParameterError):
             RngStream(seed, stream)
+
+
+# seeds and stream ids at the edges of one and two 32-bit words
+PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 20260808, 2**64 - 1]
+PORT_IDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 2, 2**64 - 1]
+
+
+def numpy_stream(seed, stream_id):
+    """The stream built by numpy's own SeedSequence and PCG64."""
+    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(seeds))
+
+
+class TestSeedingPort:
+    """_stream_states against the installed numpy: a drift guard for the
+    package's port of SeedSequence -> PCG64 seeding."""
+
+    @pytest.mark.parametrize("seed", PORT_SEEDS)
+    @pytest.mark.parametrize("stream_id", PORT_IDS)
+    def test_scalar_path_matches_numpy(self, seed, stream_id):
+        want = numpy_stream(seed, stream_id).standard_normal(9)
+        port = _seeded(_generator(), _stream_states(seed, stream_id))
+        np.testing.assert_array_equal(port.standard_normal(9), want)
+        stream = RngStream(seed, stream_id).generator()
+        np.testing.assert_array_equal(stream.standard_normal(9), want)
+
+    @pytest.mark.parametrize("seed", PORT_SEEDS)
+    def test_array_path_matches_numpy(self, seed):
+        # one call holds ids of one and of two 32-bit words, on both sides of 2**32
+        ids = np.array([*range(2**32 - 3, 2**32 + 3), *PORT_IDS], dtype=np.uint64)
+        rng = _generator()
+        for stream_id, state in zip(ids.tolist(), _stream_states(seed, ids)):
+            want = numpy_stream(seed, stream_id).standard_normal(9)
+            np.testing.assert_array_equal(_seeded(rng, state).standard_normal(9), want)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))
+    def test_state_matches_numpy(self, seed, stream_id):
+        state = numpy_stream(seed, stream_id).bit_generator.state["state"]
+        assert _stream_states(seed, stream_id) == (state["state"], state["inc"])
+        ids = np.array([stream_id], dtype=np.uint64)
+        assert _stream_states(seed, ids) == [(state["state"], state["inc"])]
 
 
 class TestSampler:

@@ -20,13 +20,19 @@ from equifdp import (
     sample,
     t_star_rho,
 )
-from equifdp.model import _draw_block
+from equifdp.model import _draw_block, _generator, _stream_states
 from equifdp.oracle import _rescale
 
 # pinned with 60-digit bisection: fixed point of the mu/sqrt(0.7) mixture
 T_STAR_RHO_REF = 0.0956375531814413  # pi0=0.5, mu=2, rho=0.3, alpha=0.2
 
 BASE = ModelParams(m=5000, pi0=0.5, mu=2.0, rho=0.3)
+
+
+def draw_block(params, seed, count):
+    """Rows from streams (seed, 0) .. (seed, count - 1), drawn as one block."""
+    states = _stream_states(seed, np.arange(count, dtype=np.uint64))
+    return _draw_block(params, _generator(), states)
 
 
 class TestOracleParams:
@@ -54,7 +60,7 @@ class TestTransform:
         s = sample(params.base, RngStream(1, 0))
         expected = params.scale * (s.x - s.x.mean() + 0.5 * 2.0)
         np.testing.assert_allclose(_rescale(s.x, params), expected, rtol=1e-15)
-        block = _draw_block(params.base, 1, 0, 3)
+        block = draw_block(params.base, 1, 3)
         rows = [_rescale(sample(params.base, RngStream(1, r)).x, params) for r in range(3)]
         np.testing.assert_array_equal(_rescale(block, params), rows)
 
@@ -63,7 +69,7 @@ class TestTransform:
         # 2e4 replicates at m=50 within 3 MC standard errors
         m, R = 50, 20_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
-        xs = _rescale(_draw_block(params.base, 13, 0, R), params)
+        xs = _rescale(draw_block(params.base, 13, R), params)
         centered = xs - xs.mean(axis=0)
         target = -1.0 / (m - 1)
         se = 3.0 * np.sqrt((1.0 + target**2) / R)
@@ -77,7 +83,7 @@ class TestTransform:
     def test_alternative_mean_is_scaled_shift(self):
         m, R = 50, 20_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
-        col = _rescale(_draw_block(params.base, 14, 0, R), params)[:, 40]
+        col = _rescale(draw_block(params.base, 14, R), params)[:, 40]
         assert abs(col.mean() - params.scale * 2.0) <= 3.0 / np.sqrt(R)
 
     def test_near_zero_rho_transform_is_nearly_identity(self):
@@ -97,8 +103,8 @@ class TestTransform:
         direct_params = ModelParams(
             m=m, pi0=0.5, mu=params.scale * 2.0, rho=-1.0 / (m - 1)
         )
-        xt = _rescale(_draw_block(params.base, 16, 0, R), params)
-        xd = _draw_block(direct_params, 17, 0, R)
+        xt = _rescale(draw_block(params.base, 16, R), params)
+        xd = draw_block(direct_params, 17, R)
         se_mean = 4.0 * np.sqrt(2.0) / np.sqrt(R)
         assert abs(xt[:, :10].mean() - xd[:, :10].mean()) <= se_mean / np.sqrt(10)
         assert abs(xt[:, 10:].mean() - xd[:, 10:].mean()) <= se_mean / np.sqrt(10)
