@@ -17,8 +17,8 @@ from equifdp import (
     FixedRho,
     ModelParams,
     OracleParams,
+    bh_fixed_point,
     run,
-    t_star_rho,
 )
 
 PI0, MU, RHO, ALPHA, R = 0.5, 2.0, 0.3, 0.2, 1500
@@ -48,7 +48,7 @@ oracle_cfg = ExperimentConfig(
 )
 s = run(oracle_cfg, workers=4)
 print(f"\noracle-rescaled run at m={m}:")
-print(f"  rho-dependent fixed point t*_rho = {t_star_rho(oracle_cfg.params.base, ALPHA):.6f}")
+print(f"  rho-dependent fixed point t*_rho = {bh_fixed_point(oracle_cfg.params.cdf, ALPHA):.6f}")
 print(f"  scaled variance  = {s.var_scaled:.4f}")
 print(f"  theory variance  = {s.law.variance:.4f}")
 print(f"  variance ratio   = {s.variance_ratio:.3f}")

@@ -35,7 +35,7 @@ from .asymptotics import (
     fluctuation_weights,
     variance_components,
 )
-from .oracle import OracleParams, t_star_rho
+from .oracle import OracleParams
 from .experiment import (
     ExperimentConfig,
     ExperimentSummary,
@@ -89,7 +89,6 @@ __all__ = [
     "ecdf_limit_cov",
     # oracle
     "OracleParams",
-    "t_star_rho",
     # experiment
     "ExperimentConfig",
     "ExperimentSummary",

@@ -69,6 +69,8 @@ class MixtureCdf:
             raise ParameterError(f"pi0 must lie in (0, 1), got {self.pi0!r}")
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ParameterError(f"mu must be positive and finite, got {self.mu!r}")
+        object.__setattr__(self, "pi0", float(self.pi0))
+        object.__setattr__(self, "mu", float(self.mu))
 
     def alt_cdf(self, t):
         """c.d.f. of a p-value under the alternative, P(Z >= q(t) - mu) with

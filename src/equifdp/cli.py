@@ -32,6 +32,7 @@ from .asymptotics import MixtureCdf, asymptotic_law
 from .errors import EquifdpError, ParameterError
 from .experiment import (
     ExperimentConfig,
+    _write_json,
     check_tolerances,
     config_to_dict,
     rate_study,
@@ -186,16 +187,8 @@ def _outdir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, obj) -> None:
-    with path.open("w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def _echo_config(outdir: Path, args, extra: dict) -> None:
-    echo = {"version": __version__, "command": args.command}
-    echo.update(extra)
-    _write_json(outdir / "config.json", echo)
+    _write_json(outdir / "config.json", {"version": __version__, "command": args.command} | extra)
 
 
 def _procedure_from(args) -> BH | FixedThreshold:
@@ -218,24 +211,6 @@ def _regime_from(args, m: int):
         # fixed negative or boundary rho: the model checks it; no declared regime
         return args.rho, None
     return seq.rho_at(m), seq
-
-
-def _run_and_write(args, config: ExperimentConfig) -> int:
-    outdir = _outdir(args)
-    _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
-    summary = run(config, workers=args.workers)
-    write_replicates_csv(summary, outdir / "replicates.csv")
-    write_summary_json(summary, outdir / "summary.json")
-    violations = check_tolerances(summary)
-    ratio = summary.variance_ratio
-    print(
-        f"wrote {outdir}/summary.json: mean_fdp={summary.mean_fdp:.6f}"
-        + (f" variance_ratio={ratio:.4f}" if ratio is not None else " (no theory)")
-        + (f" violations={violations}" if violations else "")
-    )
-    if args.check and violations:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -276,66 +251,66 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    rho, rho_seq = _regime_from(args, args.m)
-    params = ModelParams(m=args.m, pi0=args.pi0, mu=args.mu, rho=rho)
-    config = ExperimentConfig(
+def _config_from(args) -> ExperimentConfig:
+    """The config of a run subcommand: rate-study starts at the first m of
+    its grid, and oracle fixes its regime."""
+    m_grid = getattr(args, "m_grid", None)
+    m = args.m if m_grid is None else m_grid[0]
+    if args.command == "oracle":
+        base = ModelParams(m=m, pi0=args.pi0, mu=args.mu, rho=args.rho)
+        params, rho_seq = OracleParams(base), None
+    else:
+        rho, rho_seq = _regime_from(args, m)
+        params = ModelParams(m=m, pi0=args.pi0, mu=args.mu, rho=rho)
+    return ExperimentConfig(
         params=params,
         procedure=_procedure_from(args),
         rho_seq=rho_seq,
         replicates=args.replicates,
         seed=args.seed,
+        m_grid=m_grid,
     )
-    return _run_and_write(args, config)
 
 
-def _cmd_rate_study(args) -> int:
-    rho, rho_seq = _regime_from(args, args.m_grid[0])
-    params = ModelParams(m=args.m_grid[0], pi0=args.pi0, mu=args.mu, rho=rho)
-    config = ExperimentConfig(
-        params=params,
-        procedure=_procedure_from(args),
-        rho_seq=rho_seq,
-        replicates=args.replicates,
-        seed=args.seed,
-        m_grid=args.m_grid,
-    )
+def _cmd_run(args) -> int:
+    """simulate, oracle and rate-study: one run, or one per m of the grid."""
+    config = _config_from(args)
     outdir = _outdir(args)
     _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
-    result = rate_study(config, workers=args.workers)
-    result.write_csv(outdir / "rate_study.csv")
-    violations = {str(s.m): check_tolerances(s) for s in result.rows}
-    _write_json(
-        outdir / "summary.json",
-        {
-            "version": __version__,
-            "config": config_to_dict(config),
-            "rows": result.table(),
-            "tolerance_violations": violations,
-        },
-    )
-    print(f"wrote {outdir}/rate_study.csv with {len(result.rows)} rows")
-    if args.check and any(violations.values()):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    base = ModelParams(m=args.m, pi0=args.pi0, mu=args.mu, rho=args.rho)
-    config = ExperimentConfig(
-        params=OracleParams(base),
-        procedure=BH(args.alpha),
-        replicates=args.replicates,
-        seed=args.seed,
-    )
-    return _run_and_write(args, config)
+    if config.m_grid is None:
+        summary = run(config, workers=args.workers)
+        write_replicates_csv(summary, outdir / "replicates.csv")
+        write_summary_json(summary, outdir / "summary.json")
+        violations = check_tolerances(summary)
+        failed, ratio = bool(violations), summary.variance_ratio
+        print(
+            f"wrote {outdir}/summary.json: mean_fdp={summary.mean_fdp:.6f}"
+            + (f" variance_ratio={ratio:.4f}" if ratio is not None else " (no theory)")
+            + (f" violations={violations}" if violations else "")
+        )
+    else:
+        result = rate_study(config, workers=args.workers)
+        result.write_csv(outdir / "rate_study.csv")
+        violations = {str(s.m): check_tolerances(s) for s in result.rows}
+        _write_json(
+            outdir / "summary.json",
+            {
+                "version": __version__,
+                "config": config_to_dict(config),
+                "rows": result.table(),
+                "tolerance_violations": violations,
+            },
+        )
+        print(f"wrote {outdir}/rate_study.csv with {len(result.rows)} rows")
+        failed = any(violations.values())
+    return EXIT_CHECK_FAILED if args.check and failed else EXIT_OK
 
 
 _COMMANDS = {
     "theory": _cmd_theory,
-    "simulate": _cmd_simulate,
-    "rate-study": _cmd_rate_study,
-    "oracle": _cmd_oracle,
+    "simulate": _cmd_run,
+    "rate-study": _cmd_run,
+    "oracle": _cmd_run,
 }
 
 

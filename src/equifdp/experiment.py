@@ -38,16 +38,7 @@ from ._version import __version__
 from .asymptotics import AsymptoticLaw, asymptotic_law
 from .errors import ParameterError, RegimeError
 from .model import (
-    ModelParams,
-    RhoSequence,
-    RngStream,
-    _check_streams,
-    _draw_block,
-    _generator,
-    _is_int,
-    _p_values,
-    _stream_states,
-    _truth_labels,
+    ModelParams, RhoSequence, RngStream, _check_streams, _draw_blocks, _is_int, _p_values,
 )
 from .oracle import OracleParams, _rescale
 from .procedures import ThresholdProcedure, _apply_procedure_rows
@@ -71,31 +62,6 @@ __all__ = [
 KS_CRIT_1PCT = 1.63
 
 _MIN_DIAGNOSTIC_R = 100
-
-# float64 elements per block array: about 128 KB, so a block stays in cache
-# and peak memory does not grow with R
-_BLOCK_ELEMS = 16384
-
-# stream ids whose PCG64 states one _stream_states call computes: enough to
-# spread the call's fixed cost, few enough that memory does not grow with R
-_STATE_CHUNK = 1024
-
-
-def _block_rows(m: int) -> int:
-    return max(1, _BLOCK_ELEMS // m)
-
-
-def _blocks(seed: int, first: int, n: int, m: int):
-    """(lo, hi, states) of each block of rows lo..hi-1 of n replicates, row
-    r from stream (seed, first + r); the PCG64 states are computed once per
-    chunk of whole blocks."""
-    step = _block_rows(m)
-    chunk = step * max(1, _STATE_CHUNK // step)
-    for c_lo in range(0, n, chunk):
-        c_hi = min(c_lo + chunk, n)
-        states = _stream_states(seed, np.arange(first + c_lo, first + c_hi, dtype=np.uint64))
-        for lo in range(c_lo, c_hi, step):
-            yield lo, min(lo + step, c_hi), states[lo - c_lo : lo - c_lo + step]
 
 
 @dataclass(frozen=True)
@@ -123,7 +89,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        RngStream(self.seed)  # raises ParameterError unless a 64-bit unsigned integer
+        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "seed", RngStream(self.seed).seed)  # RngStream checks it
         base = self.base_params
         if isinstance(self.params, OracleParams) and self.rho_seq is not None:
             raise ParameterError("oracle mode fixes the regime; leave rho_seq unset")
@@ -140,6 +107,7 @@ class ExperimentConfig:
                 raise ParameterError("m_grid must be increasing with >= 3 points")
             for m in grid:
                 _config_at_m(self, m)  # the model checks every point before any runs
+            object.__setattr__(self, "m_grid", tuple(map(int, grid)))
 
     @property
     def base_params(self) -> ModelParams:
@@ -192,13 +160,12 @@ def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
 def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
     """Fill the per-replicate arrays `out` (threshold, rejected,
     false_rejections, fdp), row r from stream first_stream + r, block by
-    block, with one generator."""
-    base, rng = config.base_params, _generator()
-    for lo, hi, states in _blocks(config.seed, first_stream, out[0].shape[0], base.m):
-        x = _draw_block(base, rng, states)
+    block."""
+    base = config.base_params
+    for lo, hi, x in _draw_blocks(base, config.seed, first_stream, out[0].shape[0]):
         if config.oracle_mode:
             x = _rescale(x, config.params)
-        rows = _apply_procedure_rows(config.procedure, _p_values(x), _truth_labels(base))
+        rows = _apply_procedure_rows(config.procedure, _p_values(x), base.m0)
         for dst, src in zip(out, rows):
             dst[lo:hi] = src
 
@@ -224,15 +191,16 @@ def _law_for(
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
     """Execute the replicated experiment; deterministic given config alone.
 
-    `workers` threads split the replicate range into contiguous chunks, and
-    each fills its chunk block by block (see the module docstring); an
-    integer `workers` <= 1 runs in the calling thread.  Every replicate owns
-    its own stream, and aggregation folds in replicate index order, so the
-    summary is bit-identical for any worker count and block size.
+    min(`workers`, R) threads split the replicate range into contiguous
+    chunks, and each fills its chunk block by block (see the module
+    docstring); an integer `workers` <= 1 runs in the calling thread.  Every
+    replicate owns its own stream, and aggregation folds in replicate index
+    order, so the summary is bit-identical for any worker count and block size.
     """
     if not _is_int(workers):
         raise ParameterError(f"workers must be an integer, got {workers!r}")
     R = config.replicates
+    workers = min(workers, R)
     _check_streams(config.seed, stream_offset, R)
     out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
     thresholds, rejected, false_rej, fdp = out
@@ -313,11 +281,7 @@ class RateStudyResult:
 
     def write_csv(self, path) -> None:
         cols = ["m", "var_scaled", "theory_variance", "variance_ratio", "ks_statistic", "var_sqrtm"]
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in self.table():
-                writer.writerow(["" if row[c] is None else repr(row[c]) for c in cols])
+        _write_csv(path, cols, ([row[c] for c in cols] for row in self.table()))
 
 
 def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:
@@ -388,9 +352,8 @@ def ecdf_covariance_probe(
     m0 = params.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
-    rng = _generator()
-    for lo, hi, states in _blocks(seed, stream_offset, replicates, params.m):
-        p = _p_values(_draw_block(params, rng, states))
+    for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
+        p = _p_values(x)
         for j, g in enumerate(grid):
             counts0[lo:hi, j] = np.count_nonzero(p[:, :m0] <= g, axis=1)
             counts1[lo:hi, j] = np.count_nonzero(p[:, m0:] <= g, axis=1)
@@ -476,31 +439,32 @@ def summary_to_dict(summary: ExperimentSummary) -> dict:
     }
 
 
+def _write_json(path, obj) -> None:
+    """`obj` as indented JSON; it is serialised before the file is opened,
+    so a failed dump leaves no file."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """A CSV table: the header, then one line per row, None as an empty
+    field.  Values are Python numbers, so a float is written as its repr;
+    numpy columns come through .tolist()."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v for v in row] for row in rows)
+
+
 def write_summary_json(summary: ExperimentSummary, path) -> None:
-    with Path(path).open("w") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, summary_to_dict(summary))
 
 
 def write_replicates_csv(summary: ExperimentSummary, path) -> None:
     """Per-replicate table with the frozen header
     ``replicate,fdp,scaled_deviation,threshold,rejected,false_rejections``."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["replicate", "fdp", "scaled_deviation", "threshold", "rejected", "false_rejections"]
-        )
-        for r in range(summary.fdp.size):
-            scaled = "" if summary.scaled_deviations is None else repr(
-                float(summary.scaled_deviations[r])
-            )
-            writer.writerow(
-                [
-                    r,
-                    repr(float(summary.fdp[r])),
-                    scaled,
-                    repr(float(summary.thresholds[r])),
-                    int(summary.rejected[r]),
-                    int(summary.false_rejections[r]),
-                ]
-            )
+    header = ["replicate", "fdp", "scaled_deviation", "threshold", "rejected", "false_rejections"]
+    R, scaled = summary.fdp.size, summary.scaled_deviations
+    scaled = [None] * R if scaled is None else scaled.tolist()
+    columns = (summary.fdp, summary.thresholds, summary.rejected, summary.false_rejections)
+    fdp, thresholds, rejected, false_rej = (c.tolist() for c in columns)
+    _write_csv(path, header, zip(range(R), fdp, scaled, thresholds, rejected, false_rej))

@@ -77,12 +77,15 @@ class ModelParams:
     def __post_init__(self):
         if not _is_int(self.m) or self.m < 2:
             raise ParameterError(f"m must be an integer >= 2, got {self.m!r}")
-        object.__setattr__(self, "cdf", MixtureCdf(self.pi0, self.mu))
-        lo = -1.0 / (self.m - 1)
+        cdf = MixtureCdf(self.pi0, self.mu)
+        lo = -1.0 / (int(self.m) - 1)
         if not (lo <= self.rho <= 1.0):
             raise ParameterError(
                 f"rho must lie in [{lo!r}, 1] for m={self.m}, got {self.rho!r}"
             )
+        fields = dict(m=int(self.m), pi0=cdf.pi0, mu=cdf.mu, rho=float(self.rho), cdf=cdf)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         m0 = self.m0
         if not (1 <= m0 <= self.m - 1):
             raise ParameterError(
@@ -115,6 +118,7 @@ class RngStream:
             v = getattr(self, name)
             if not _is_int(v) or not (0 <= v <= _UINT64_MAX):
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
 
     def generator(self) -> np.random.Generator:
         return _seeded(_generator(), _stream_states(self.seed, self.stream_id))
@@ -158,6 +162,7 @@ class ThetaOverM:
     def __post_init__(self):
         if not (self.theta >= -1.0 and math.isfinite(self.theta)):
             raise ParameterError(f"theta must be finite and >= -1, got {self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
 
     def rho_at(self, m: int) -> float:
         return self.theta / m
@@ -196,6 +201,8 @@ class PowerLaw:
             raise ParameterError(f"c must be positive and finite, got {self.c!r}")
         if not (0.0 < self.gamma < 1.0):
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma!r}")
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     def rho_at(self, m: int) -> float:
         return self.c * float(m) ** (-self.gamma)
@@ -221,6 +228,7 @@ class FixedRho:
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ParameterError(f"fixed rho must lie in (0, 1), got {self.rho!r}")
+        object.__setattr__(self, "rho", float(self.rho))
 
     def rho_at(self, m: int) -> float:
         return self.rho
@@ -389,6 +397,32 @@ def _draw_block(params: ModelParams, rng: np.random.Generator, states: list) -> 
     x += np.sqrt(common_var) * u
     x[:, params.m0 :] += params.mu
     return x
+
+
+# float64 elements per block array: about 128 KB, so a block stays in cache
+# and peak memory does not grow with R
+_BLOCK_ELEMS = 16384
+
+# stream ids whose PCG64 states one _stream_states call computes: enough to
+# spread the call's fixed cost, few enough that memory does not grow with R
+_STATE_CHUNK = 1024
+
+
+def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
+    """(lo, hi, x) of each block of rows lo..hi-1 of n instances, row r from
+    stream (seed, first + r) by :func:`_draw_block`, with one generator.
+
+    A block holds max(1, _BLOCK_ELEMS // m) rows; the PCG64 states are
+    computed once per chunk of whole blocks.
+    """
+    rng, step = _generator(), max(1, _BLOCK_ELEMS // params.m)
+    chunk = step * max(1, _STATE_CHUNK // step)
+    for c_lo in range(0, n, chunk):
+        c_hi = min(c_lo + chunk, n)
+        states = _stream_states(seed, np.arange(first + c_lo, first + c_hi, dtype=np.uint64))
+        for lo in range(c_lo, c_hi, step):
+            hi = min(lo + step, c_hi)
+            yield lo, hi, _draw_block(params, rng, states[lo - c_lo : hi - c_lo])
 
 
 def _p_values(x: np.ndarray) -> np.ndarray:

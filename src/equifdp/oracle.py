@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import MixtureCdf, bh_fixed_point
+from .asymptotics import MixtureCdf
 from .errors import ParameterError
 from .model import ModelParams, ThetaOverM
 
-__all__ = ["OracleParams", "t_star_rho"]
+__all__ = ["OracleParams"]
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,3 @@ def _rescale(x: np.ndarray, params: OracleParams) -> np.ndarray:
     """
     base = params.base
     return params.scale * (x - x.mean(axis=-1, keepdims=True) + (1.0 - base.pi0) * base.mu)
-
-
-def t_star_rho(base: ModelParams, alpha: float) -> float:
-    """Fixed point t with pi0*t + (1-pi0)*P(Z >= q(t) - mu_tilde) = t/alpha,
-    i.e. the BH fixed point of the transformed mixture."""
-    return bh_fixed_point(OracleParams(base).cdf, alpha)

@@ -18,6 +18,7 @@ block, the one path through which the library thresholds and counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -37,14 +38,25 @@ class BH:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     def thresholds(self, p: np.ndarray) -> np.ndarray:
         """Row-wise step-up over a (B, m) array: alpha * k / m per row, with
-        k = max{i : p_(i) <= i*alpha/m}, or 0.0 where no order statistic
-        clears its line."""
+        k = max{i : p_(i) <= i*alpha/m} in exact arithmetic, or 0.0 where no
+        order statistic clears its line."""
         m = p.shape[1]
-        below = np.sort(p, axis=1) <= self.alpha * np.arange(1, m + 1) / m
+        p = np.sort(p, axis=1)
+        lines = self.alpha * np.arange(1, m + 1) / m
+        # a float line lies within 3 ulp of i*alpha/m, inside a relative 2**-50:
+        # only an order statistic that close needs an exact comparison
+        slack = lines * 2.0**-50
+        below = p <= lines + slack
         k = np.where(below.any(axis=1), m - np.argmax(below[:, ::-1], axis=1), 0)
+        # the largest candidate is exact unless it is that close to its line
+        near = (k > 0) & (p[np.arange(k.size), k - 1] > (lines - slack)[k - 1])
+        for r in np.flatnonzero(near):
+            while k[r] and Fraction(p[r, k[r] - 1]) * m > Fraction(self.alpha) * int(k[r]):
+                k[r] -= 1
         return self.alpha * k / m
 
     def t_star(self, cdf) -> float:
@@ -78,6 +90,7 @@ class FixedThreshold:
     def __post_init__(self):
         if not (0.0 < self.t < 1.0):
             raise ParameterError(f"threshold must lie in (0, 1), got {self.t!r}")
+        object.__setattr__(self, "t", float(self.t))
 
     def thresholds(self, p: np.ndarray) -> np.ndarray:
         return np.full(p.shape[0], self.t)
@@ -96,9 +109,9 @@ class FixedThreshold:
 ThresholdProcedure = Union[BH, FixedThreshold]
 
 
-def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.ndarray):
-    """Run a procedure on every row of a (B, m) p-value array whose columns
-    carry the truth labels `tau`.
+def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, m0: int):
+    """Run a procedure on every row of a (B, m) p-value array whose first
+    `m0` columns are the true nulls (the model's nulls-first layout).
 
     Returns the per-row arrays (threshold, rejected, false_rejections, fdp);
     ties at the threshold are rejected, and a row without rejections has
@@ -107,5 +120,5 @@ def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, tau: np.
     thresholds = procedure.thresholds(p)
     rejected_mask = p <= thresholds[:, None]
     rejected = np.count_nonzero(rejected_mask, axis=1)
-    false_rej = np.count_nonzero(rejected_mask & ~tau, axis=1)
+    false_rej = np.count_nonzero(rejected_mask[:, :m0], axis=1)
     return thresholds, rejected, false_rej, false_rej / np.maximum(rejected, 1)

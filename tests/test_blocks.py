@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import equifdp.experiment
@@ -105,7 +107,7 @@ def test_state_chunks_split_the_range(monkeypatch):
     # stream states are computed per chunk of whole blocks: at m = 2000 (8
     # rows per block) a chunk of 20 ids holds 2 blocks, and R = 37 ends in a
     # partial chunk
-    monkeypatch.setattr(equifdp.experiment, "_STATE_CHUNK", 20)
+    monkeypatch.setattr(equifdp.model, "_STATE_CHUNK", 20)
     config = ExperimentConfig(
         params=ModelParams(m=2000, pi0=0.5, mu=2.0, rho=0.3), procedure=BH(0.2),
         replicates=37, seed=SEED,
@@ -114,6 +116,32 @@ def test_state_chunks_split_the_range(monkeypatch):
     want = [naive_replicate(config, 3 + r) for r in range(config.replicates)]
     np.testing.assert_array_equal(s.fdp, [w[3] for w in want])
     np.testing.assert_array_equal(s.thresholds, [w[0] for w in want])
+
+
+@settings(max_examples=30)
+@given(
+    m=st.integers(2, 60),
+    replicates=st.integers(1, 40),
+    workers=st.integers(1, 3),
+    block_elems=st.integers(1, 200),
+    state_chunk=st.integers(1, 50),
+    oracle=st.booleans(),
+)
+def test_run_does_not_depend_on_workers_or_block_sizes(
+    m, replicates, workers, block_elems, state_chunk, oracle
+):
+    base = ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3)
+    config = ExperimentConfig(
+        params=OracleParams(base) if oracle else base, procedure=BH(0.2),
+        replicates=replicates, seed=SEED,
+    )
+    want = run(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equifdp.model, "_BLOCK_ELEMS", block_elems)
+        mp.setattr(equifdp.model, "_STATE_CHUNK", state_chunk)
+        got = run(config, workers=workers)
+    for name in ("thresholds", "rejected", "false_rejections", "fdp"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_last_streams_equal_naive_per_replicate():
@@ -286,3 +314,34 @@ class TestInputContracts:
 
         monkeypatch.setattr(equifdp.experiment, "ThreadPoolExecutor", no_pool)
         np.testing.assert_array_equal(run(config, workers=workers).fdp, want)
+
+    def test_pool_is_sized_by_the_work(self, monkeypatch):
+        # R = 3 at 64 workers asks for 3 threads, each with one replicate
+        config = ExperimentConfig(
+            params=ModelParams(m=10, pi0=0.5, mu=2.0, rho=0.0),
+            procedure=BH(0.2),
+            replicates=3,
+        )
+        want = run(config).fdp
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs the ranges in the calling thread."""
+
+            def __init__(self, max_workers):
+                self.max_workers, self.ranges = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                self.ranges = list(zip(*iterables))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(equifdp.experiment, "ThreadPoolExecutor", InlinePool)
+        np.testing.assert_array_equal(run(config, workers=64).fdp, want)
+        assert [(p.max_workers, p.ranges) for p in pools] == [(3, [(0, 1), (1, 2), (2, 3)])]

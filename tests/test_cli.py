@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommand behavior, file outputs, reproducibility,
 usage errors, config files, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -387,6 +388,48 @@ class TestInvalidFlagValues:
         regime = [] if name in ("rho", "theta", "gamma") else ["--theta", "0"]
         argv = ["simulate", *VALID_FLAGS["simulate"].split(), *regime, f"--{name}={value!r}"]
         assert_usage_error(argv, f"{name} must", tmp_path, capsys)
+
+
+# sha256 of every file three small commands write, recorded before the run
+# subcommands shared one command body; they pin the bytes of the frozen outputs
+_PIN_FLAGS = ["--pi0", "0.5", "--mu", "2", "--alpha", "0.2"]
+OUTPUT_PINS = {
+    "simulate": (
+        ["simulate", "--m", "500", "--theta", "1", *_PIN_FLAGS,
+         "--replicates", "200", "--seed", "7", "--workers", "1"],
+        {
+            "config.json": "ba9e1d25dd5a83be3067002541bdb6df8a144f60caf6cd2c57e46b87c972fe63",
+            "replicates.csv": "1cb6f8785b8d23ea0605e1da00e80ec10b5a50ef45a52b8cf09c9c3ccb8f0a85",
+            "summary.json": "7a6728ef4128dfae2bd65364910088b3d77bfb6b0d53aacdd04d04f295ad96e3",
+        },
+    ),
+    "oracle": (
+        ["oracle", "--rho", "0.3", "--m", "400", *_PIN_FLAGS,
+         "--replicates", "150", "--seed", "9", "--workers", "2"],
+        {
+            "config.json": "703646c37bd678f31295f3f18ec2636bea3d4eb619190613c1dc73bf180d871d",
+            "replicates.csv": "71663dad360f4aec9a4d7d405c9b0c2e9b721690570f8225064868de49ce76b0",
+            "summary.json": "8caf9829a0d3ebc2d3e358a2d170386a2a9622d22fa1a29b7ef11ab0dc3e9746",
+        },
+    ),
+    "rate-study": (
+        ["rate-study", "--rho", "0.3", "--m-grid", "100,200,400", *_PIN_FLAGS,
+         "--replicates", "100", "--seed", "3", "--workers", "1"],
+        {
+            "config.json": "06aeeb7694181caaa5e02370e7124cbcebdd34b34bb0c32870b64acec3206154",
+            "rate_study.csv": "d5da4336e48786afd3f49d92a7d0fe74c58c6b129b90016d49e31f07d83343c3",
+            "summary.json": "4e8649474392a1993ae9a2a2552b56f3146fe1c16b0d3d8ab58d8f0b2d9abd94",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_PINS))
+def test_output_bytes_are_pinned(name, tmp_path):
+    argv, digests = OUTPUT_PINS[name]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out").iterdir()
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in written} == digests
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, diagnostics, regime handling, the
 covariance probe, tolerance checks, and the CSV/JSON interfaces."""
 
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,9 @@ from equifdp import (
     OracleParams,
     ParameterError,
     PowerLaw,
+    RngStream,
     ThetaOverM,
+    asymptotic_law,
     check_tolerances,
     ecdf_covariance_probe,
     ecdf_limit_cov,
@@ -29,6 +32,7 @@ from equifdp import (
     write_replicates_csv,
     write_summary_json,
 )
+from equifdp.experiment import _write_json
 from oracles import bootstrap_cov_se
 
 SMALL = ExperimentConfig(
@@ -377,3 +381,71 @@ class TestSerialization:
         assert float(rec[1]) == s.fdp[4]
         assert float(rec[2]) == s.scaled_deviations[4]
         assert int(rec[4]) == s.rejected[4]
+
+
+class TestNumpyScalarInputs:
+    """Every type stores the numbers it checks as Python int and float, so
+    numpy scalars give the outputs of the same Python numbers, byte for byte.
+    0.5, 2.0, 0.25 and 0.0 are exact in float32."""
+
+    @staticmethod
+    def write_outputs(out, m, pi0, mu, alpha, theta, replicates, seed, grid):
+        rho_seq = ThetaOverM(theta)
+        config = ExperimentConfig(
+            params=ModelParams(m=m, pi0=pi0, mu=mu, rho=rho_seq.rho_at(m)),
+            procedure=BH(alpha),
+            rho_seq=rho_seq,
+            replicates=replicates,
+            seed=seed,
+        )
+        out.mkdir()
+        summary = run(config, workers=2)
+        write_summary_json(summary, out / "summary.json")
+        write_replicates_csv(summary, out / "replicates.csv")
+        study = rate_study(dataclasses.replace(config, m_grid=grid))
+        study.write_csv(out / "rate_study.csv")
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    def test_outputs_are_byte_identical(self, tmp_path):
+        python = self.write_outputs(
+            tmp_path / "python", 200, 0.5, 2.0, 0.25, 0.0, 120, 7, (100, 200, 400)
+        )
+        f32 = np.float32
+        numpy = self.write_outputs(
+            tmp_path / "numpy", np.int64(200), f32(0.5), f32(2.0), f32(0.25), f32(0.0),
+            np.int64(120), np.uint64(7), tuple(np.array([100, 200, 400])),
+        )
+        assert sorted(numpy) == ["rate_study.csv", "replicates.csv", "summary.json"]
+        assert numpy == python
+
+    def test_laws_are_equal_field_by_field(self):
+        f32 = np.float32
+        want = asymptotic_law(MixtureCdf(0.5, 2.0), BH(0.25), ThetaOverM(0.0))
+        got = asymptotic_law(MixtureCdf(f32(0.5), f32(2.0)), BH(f32(0.25)), ThetaOverM(f32(0.0)))
+        for name, value in vars(want).items():
+            assert type(getattr(got, name)) is type(value)
+            assert getattr(got, name) == value
+
+    def test_checked_values_are_stored_as_python_numbers(self):
+        params = ModelParams(m=np.int64(10), pi0=np.float32(0.5), mu=np.float64(2.0), rho=0)
+        config = ExperimentConfig(
+            params=params, procedure=FixedThreshold(np.float32(0.25)),
+            replicates=np.int32(5), seed=np.uint64(3), m_grid=np.array([10, 20, 40]),
+        )
+        stored = [
+            (params.m, int), (params.pi0, float), (params.mu, float), (params.rho, float),
+            (config.procedure.t, float), (config.replicates, int), (config.seed, int),
+            *((m, int) for m in config.m_grid),
+            (PowerLaw(np.int64(1), np.float32(0.5)).c, float),
+            (FixedRho(np.float32(0.25)).rho, float),
+            (RngStream(np.uint64(1), np.int64(2)).stream_id, int),
+        ]
+        assert [type(v) for v, _ in stored] == [kind for _, kind in stored]
+        assert config.m_grid == (10, 20, 40)
+
+
+def test_failed_json_dump_leaves_no_file(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(TypeError):
+        _write_json(path, {"version": "x", "m": object()})
+    assert not path.exists()

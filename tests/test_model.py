@@ -31,7 +31,9 @@ P_MAX = np.nextafter(1.0, 0.0)
 def pooled_and_null_counts(procedure, s, rows=1):
     """(rejected, false_rejections): the pooled and null counts of p <= t
     from the kernel's tally of `rows` copies of one sample."""
-    _, rejected, false_rej, _ = _apply_procedure_rows(procedure, np.tile(s.p, (rows, 1)), s.tau)
+    _, rejected, false_rej, _ = _apply_procedure_rows(
+        procedure, np.tile(s.p, (rows, 1)), np.count_nonzero(~s.tau)
+    )
     return rejected, false_rej
 
 

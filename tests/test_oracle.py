@@ -18,7 +18,6 @@ from equifdp import (
     phi_upper_inv,
     run,
     sample,
-    t_star_rho,
 )
 from equifdp.model import _draw_block, _generator, _stream_states
 from equifdp.oracle import _rescale
@@ -134,18 +133,17 @@ def test_transformed_fdp_variance_scales_as_one_over_m():
 
 class TestOracleFixedPoint:
     def test_reference_value(self):
-        assert t_star_rho(BASE, 0.2) == pytest.approx(T_STAR_RHO_REF, rel=1e-12)
+        t_star = bh_fixed_point(OracleParams(BASE).cdf, 0.2)
+        assert t_star == pytest.approx(T_STAR_RHO_REF, rel=1e-12)
 
     def test_reduces_to_plain_fixed_point_as_rho_vanishes(self):
         base = ModelParams(m=5000, pi0=0.5, mu=2.0, rho=1e-10)
         t_plain = bh_fixed_point(MixtureCdf(0.5, 2.0), 0.2)
-        assert abs(t_star_rho(base, 0.2) - t_plain) <= 1e-8
+        assert abs(bh_fixed_point(OracleParams(base).cdf, 0.2) - t_plain) <= 1e-8
 
     def test_monotone_in_rho(self):
-        values = [
-            t_star_rho(ModelParams(m=5000, pi0=0.5, mu=2.0, rho=r), 0.2)
-            for r in (0.1, 0.3, 0.5, 0.7)
-        ]
+        bases = [ModelParams(m=5000, pi0=0.5, mu=2.0, rho=r) for r in (0.1, 0.3, 0.5, 0.7)]
+        values = [bh_fixed_point(OracleParams(base).cdf, 0.2) for base in bases]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 

@@ -6,6 +6,8 @@ The library thresholds and tallies through one row-wise kernel,
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifdp import (
     BH,
@@ -33,7 +35,8 @@ def bh(p, alpha):
 
 def tally(procedure, s):
     """(threshold, rejected, false_rejections, fdp) of one sample."""
-    return tuple(col[0] for col in _apply_procedure_rows(procedure, s.p[None], s.tau))
+    m0 = np.count_nonzero(~s.tau)
+    return tuple(col[0] for col in _apply_procedure_rows(procedure, s.p[None], m0))
 
 
 class TestBhThreshold:
@@ -71,6 +74,32 @@ class TestBhThreshold:
             k = bh_threshold_scan_k(p, alpha)
             assert t == alpha * k / m
             assert bh_no_better_between(p, alpha, k)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_equals_rational_scan_with_ties_and_points_on_the_lines(self, data):
+        # p-values that tie with each other, and that sit on the step-up
+        # lines alpha*k/m as a float computes them or one float away: where
+        # the float line rounds past alpha*k/m, only an exact comparison
+        # gets k right
+        m = data.draw(st.integers(1, 40), label="m")
+        alpha = data.draw(
+            st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5]) | st.floats(0.001, 0.999),
+            label="alpha",
+        )
+        line = st.integers(1, m).map(lambda k: alpha * k / m)
+        next_to = st.sampled_from([0.0, 1.0]).flatmap(lambda to: line.map(
+            lambda t: float(np.nextafter(t, to))))
+        pool = data.draw(st.lists(line | next_to | st.floats(0.0, 1.0), min_size=1, max_size=m))
+        p = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="p"))
+        assert bh(p, alpha) == alpha * bh_threshold_scan_k(p, alpha) / m
+
+    def test_order_statistic_between_a_float_line_and_its_exact_value(self):
+        # 0.3 * 3 / 15 rounds twice, to 0.05999999999999999, below the exact
+        # line, and the float 0.06 lies between the two: k is 3, not 2
+        p = np.array([1e-9, 1e-9, 0.06] + [0.99] * 12)
+        assert bh_threshold_scan_k(p, 0.3) == 3
+        assert bh(p, 0.3) == 0.3 * 3 / 15
 
 
 class TestApplyProcedure:
@@ -143,7 +172,9 @@ class TestFdpAt:
         params = ModelParams(m=30, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(2, 3))
         ts = np.linspace(0.0, 1.0, 50)
-        _, den, num, _ = _apply_procedure_rows(GivenThresholds(ts), np.tile(s.p, (50, 1)), s.tau)
+        _, den, num, _ = _apply_procedure_rows(
+            GivenThresholds(ts), np.tile(s.p, (50, 1)), np.count_nonzero(~s.tau)
+        )
         assert all(a <= b for a, b in zip(num, num[1:]))
         assert all(a <= b for a, b in zip(den, den[1:]))
         assert den[0] == 0 and den[-1] == 30
