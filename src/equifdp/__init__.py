@@ -7,7 +7,6 @@ from ._version import __version__
 from .errors import (
     BracketingError,
     DegenerateCrossingError,
-    DomainError,
     EquifdpError,
     FixedPointUnderflowError,
     ParameterError,
@@ -55,7 +54,6 @@ __all__ = [
     "__version__",
     # errors
     "EquifdpError",
-    "DomainError",
     "ParameterError",
     "BracketingError",
     "FixedPointUnderflowError",

@@ -84,9 +84,11 @@ class MixtureCdf:
 
     def alt_density(self, t):
         """Density of the alternative p-value law: exp(mu*q(t) - mu**2/2)
-        with q the upper-tail quantile.  Defined on (0, 1); diverges at 0."""
-        z = phi_upper_inv(t)
-        return np.exp(self.mu * z - 0.5 * self.mu * self.mu)
+        with q the upper-tail quantile.  Defined on (0, 1); diverges at 0.
+        Near the float maximum mu*q and mu**2 both overflow; inf - inf is
+        NaN there, but q < mu/2, so the exponent's limit is -inf (fmax
+        drops a NaN)."""
+        return np.exp(np.fmax(self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu, -np.inf))
 
     def __call__(self, t):
         return self.pi0 * t + (1.0 - self.pi0) * self.alt_cdf(t)

@@ -5,10 +5,6 @@ class EquifdpError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(EquifdpError, ValueError):
-    """Numeric input outside the mathematical domain of a function."""
-
-
 class ParameterError(EquifdpError, ValueError):
     """Invalid model, procedure, or experiment parameters."""
 

@@ -18,7 +18,8 @@ rho without the oracle transform).
 Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
 (B, m) array is drawn (row i from its own stream), rescaled in oracle mode,
 turned into p-values once, and thresholded and tallied row by row.  The run
-and the e.c.d.f. covariance probe share this block draw.
+and the e.c.d.f. covariance probe share the draw, model._draw_blocks, and
+the count of each group's p-values at a cut, procedures._group_counts.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .model import (
     ModelParams, RhoSequence, RngStream, _check_streams, _draw_blocks, _is_int, _p_values,
 )
 from .oracle import OracleParams, _rescale
-from .procedures import ThresholdProcedure, _apply_procedure_rows
+from .procedures import ThresholdProcedure, _apply_procedure_rows, _group_counts
 
 __all__ = [
     "ExperimentConfig",
@@ -355,8 +356,7 @@ def ecdf_covariance_probe(
     for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
         p = _p_values(x)
         for j, g in enumerate(grid):
-            counts0[lo:hi, j] = np.count_nonzero(p[:, :m0] <= g, axis=1)
-            counts1[lo:hi, j] = np.count_nonzero(p[:, m0:] <= g, axis=1)
+            counts0[lo:hi, j], counts1[lo:hi, j] = _group_counts(p, m0, g)
     root_m = math.sqrt(params.m)
     dev0 = root_m * (counts0 / m0 - grid)
     dev1 = root_m * (counts1 / (params.m - m0) - g1)

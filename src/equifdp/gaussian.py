@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import ParameterError
 
 __all__ = ["phi_upper", "phi_upper_inv", "std_normal_density"]
 
@@ -29,7 +29,7 @@ _DENSITY_ZERO_FROM = 40.0
 def _as_finite_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
+        raise ParameterError(f"{name} must be finite, got {x!r}")
     return arr
 
 
@@ -48,12 +48,12 @@ def phi_upper(z):
 def phi_upper_inv(t):
     """Upper-tail quantile: the z with P(Z >= z) = t, for t in (0, 1).
 
-    Inverse of :func:`phi_upper`.  Raises :class:`DomainError` outside (0, 1);
+    Inverse of :func:`phi_upper`.  Raises :class:`ParameterError` outside (0, 1);
     the open interval is required since the inverse diverges at the endpoints.
     """
     arr = _as_finite_array(t, "t")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError(f"t must lie strictly inside (0, 1), got {t!r}")
+        raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
     out = -special.ndtri(arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 

@@ -121,7 +121,7 @@ class RngStream:
             object.__setattr__(self, name, int(v))
 
     def generator(self) -> np.random.Generator:
-        return _seeded(_generator(), _stream_states(self.seed, self.stream_id))
+        return _seeded(_generator(), _stream_states(self.seed, np.uint64([self.stream_id]))[0])
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]
 # SeedSequence(entropy=seed, spawn_key=(id,)).  The package computes that
 # state itself: SeedSequence's hash pool and generate_state, then PCG64's
 # srandom.  The mixing uses plain operators masked to 32 bits, so the same
-# code runs on one Python int id and on a uint64 array of ids.
+# code hashes the seed's Python int words and a uint64 array of ids.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -268,6 +268,12 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
 # then 4 per spawn-key word (at most 2); generate_state hashes 8 words
 _HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 24)
 _HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+# the per-id hashes as (xor, multiplier) columns, one row per pool word (the
+# 8 of generate_state hash the pool twice), so each hashes a (4, ids) array
+_KEY_HASHES_1, _KEY_HASHES_2, _STATE_HASHES = (
+    tuple(np.array(c, dtype=np.uint64)[:, None] for c in zip(*h))
+    for h in (_HASH_A[16:20], _HASH_A[20:24], _HASH_B)
+)
 
 
 def _hash(value, consts):
@@ -279,11 +285,6 @@ def _hash(value, consts):
 def _mix(x, y):
     r = (_MIX_L * x - _MIX_R * y) & _MASK32
     return r ^ r >> 16
-
-
-def _absorb(pool, word, k: int) -> list:
-    """Mix one spawn-key word into each pool word, with hashes k..k+3."""
-    return [_mix(p, _hash(word, _HASH_A[k + i])) for i, p in enumerate(pool)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -308,29 +309,18 @@ def _srandom(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> tuple[int, int]:
     return (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def _stream_states(seed: int, ids):
-    """PCG64 (state, inc) of stream (seed, id), bit-identical to
-    ``PCG64(SeedSequence(entropy=seed, spawn_key=(id,)))``.
-
-    `ids` is one int id, giving one pair, or a uint64 array of ids, giving a
-    list of pairs.  Seed and ids must lie in [0, 2**64).
+def _stream_states(seed: int, ids: np.ndarray) -> list:
+    """PCG64 (state, inc) of each stream (seed, id), bit-identical to
+    ``PCG64(SeedSequence(entropy=seed, spawn_key=(id,)))``, for a uint64
+    array of ids.  Seed and ids must lie in [0, 2**64).
     """
-    scalar = not isinstance(ids, np.ndarray)
-    if scalar:
-        ids = int(ids)
-    pool = _absorb(_seed_pool(int(seed)), ids & _MASK32, 16)
+    pool = _mix(np.uint64(_seed_pool(int(seed)))[:, None], _hash(ids & _MASK32, _KEY_HASHES_1))
     wide = ids >> 32  # an id of 2**32 or more has a second key word
-    if scalar:
-        if wide:
-            pool = _absorb(pool, wide, 20)
-    elif wide.any():
-        pool = [np.where(wide > 0, t, p) for t, p in zip(_absorb(pool, wide, 20), pool)]
-    w = [_hash(pool[i % 4], _HASH_B[i]) for i in range(8)]
+    if wide.any():
+        pool = np.where(wide > 0, _mix(pool, _hash(wide, _KEY_HASHES_2)), pool)
+    w = _hash(np.tile(pool, (2, 1)), _STATE_HASHES)
     # generate_state's 64-bit words: initial state (hi, lo), sequence (hi, lo)
-    words = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
-    if scalar:
-        return _srandom(*words)
-    return [_srandom(*q) for q in zip(*(u.tolist() for u in words))]
+    return [_srandom(*q) for q in zip(*(w[0::2] | w[1::2] << 32).tolist())]
 
 
 class _Unseeded(ISeedSequence):
@@ -367,38 +357,6 @@ def _check_streams(seed: int, first: int, count: int) -> None:
 # --- sampling ----------------------------------------------------------------
 
 
-def _truth_labels(params: ModelParams) -> np.ndarray:
-    """False for the m0 nulls at indices 0..m0-1, True for the alternatives
-    after them."""
-    return np.arange(params.m) >= params.m0
-
-
-def _draw_block(params: ModelParams, rng: np.random.Generator, states: list) -> np.ndarray:
-    """Statistics of len(states) instances of the model, one per row of a
-    (count, m) array; `rng` draws row i from the stream with PCG64 state
-    states[i] (see :func:`_stream_states`).
-
-    Draw order is fixed as part of the reproducibility contract: each stream
-    gives m variates for xi, then one for the common factor U.  A row is the
-    same bit for bit whatever block it is drawn in.
-    """
-    m, rho = params.m, params.rho
-    x = np.empty((len(states), m))
-    u = np.empty((len(states), 1))
-    for row, u_row, state_inc in zip(x, u, states):
-        _seeded(rng, state_inc).standard_normal(out=row)
-        u_row[0] = rng.standard_normal()
-
-    # inner term of the common-factor coefficient can round slightly negative
-    # at the boundary rho = -1/(m-1)
-    common_var = max(0.0, (1.0 + (m - 1) * rho) / m)
-    x -= x.mean(axis=1, keepdims=True)
-    x *= np.sqrt(1.0 - rho)
-    x += np.sqrt(common_var) * u
-    x[:, params.m0 :] += params.mu
-    return x
-
-
 # float64 elements per block array: about 128 KB, so a block stays in cache
 # and peak memory does not grow with R
 _BLOCK_ELEMS = 16384
@@ -409,20 +367,36 @@ _STATE_CHUNK = 1024
 
 
 def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
-    """(lo, hi, x) of each block of rows lo..hi-1 of n instances, row r from
-    stream (seed, first + r) by :func:`_draw_block`, with one generator.
+    """(lo, hi, x) of each block of rows lo..hi-1 of n instances of the
+    model, row r from stream (seed, first + r), with one generator.
 
     A block holds max(1, _BLOCK_ELEMS // m) rows; the PCG64 states are
-    computed once per chunk of whole blocks.
+    computed once per chunk of whole blocks.  Draw order is fixed as part of
+    the reproducibility contract: each stream gives m variates for xi, then
+    one for the common factor U, so a row is the same bit for bit whatever
+    block it is drawn in.
     """
-    rng, step = _generator(), max(1, _BLOCK_ELEMS // params.m)
+    m, rho, mu, m0 = params.m, params.rho, params.mu, params.m0
+    rng, step = _generator(), max(1, _BLOCK_ELEMS // m)
     chunk = step * max(1, _STATE_CHUNK // step)
+    scale = math.sqrt(1.0 - rho)
+    # the common factor vanishes at the boundary rho = -1/(m-1), where the
+    # inner term 1 + (m-1)*rho rounds to 0 or 2**-53; it is >= 0 above it
+    common_sd = 0.0 if rho == -1.0 / (m - 1) else math.sqrt((1.0 + (m - 1) * rho) / m)
     for c_lo in range(0, n, chunk):
         c_hi = min(c_lo + chunk, n)
         states = _stream_states(seed, np.arange(first + c_lo, first + c_hi, dtype=np.uint64))
         for lo in range(c_lo, c_hi, step):
             hi = min(lo + step, c_hi)
-            yield lo, hi, _draw_block(params, rng, states[lo - c_lo : hi - c_lo])
+            x, u = np.empty((hi - lo, m)), np.empty((hi - lo, 1))
+            for row, u_row, state_inc in zip(x, u, states[lo - c_lo : hi - c_lo]):
+                _seeded(rng, state_inc).standard_normal(out=row)
+                u_row[0] = rng.standard_normal()
+            x -= x.mean(axis=1, keepdims=True)
+            x *= scale
+            x += common_sd * u
+            x[:, m0:] += mu
+            yield lo, hi, x
 
 
 def _p_values(x: np.ndarray) -> np.ndarray:
@@ -437,10 +411,10 @@ def _p_values(x: np.ndarray) -> np.ndarray:
 
 
 def sample(params: ModelParams, stream: RngStream) -> Sample:
-    """Draw one instance of the model using the exchangeable factor form:
-    row 0 of :func:`_draw_block` from `stream`, with its p-values."""
-    x = _draw_block(params, _generator(), [_stream_states(stream.seed, stream.stream_id)])[0]
-    return Sample(tau=_truth_labels(params), x=x, p=_p_values(x))
+    """Draw one instance of the model, nulls first: the one row of
+    :func:`_draw_blocks` from `stream`, with its truth labels and p-values."""
+    x = next(_draw_blocks(params, stream.seed, stream.stream_id, 1))[2][0]
+    return Sample(tau=np.arange(params.m) >= params.m0, x=x, p=_p_values(x))
 
 
 def write_sample_csv(s: Sample, path) -> None:

@@ -6,13 +6,15 @@ G_m(t) >= t / alpha, and a fixed threshold t0, the simplest member of the
 family of smooth threshold functionals (its derivative is zero, which makes
 it useful for isolating the e.c.d.f. fluctuation term in the limit theory).
 
-Each procedure carries its own behaviour: ``thresholds(p)`` thresholds the
-rows of a p-value block, ``t_star(cdf)`` is the almost-sure limit of the
-threshold under a mixture c.d.f., ``t_dot(cdf, t_star)`` the weight of its
-threshold functional's derivative (a point mass at t*, or None when the
-threshold does not depend on the data), and ``to_dict()`` its JSON view.
-``_apply_procedure_rows`` is the row-wise step-up and tally of a p-value
-block, the one path through which the library thresholds and counts.
+Each procedure carries its own behaviour: ``thresholds(p)`` gives the
+threshold of each row of a p-value block and the cut its tally counts at,
+``t_star(cdf)`` is the almost-sure limit of the threshold under a mixture
+c.d.f., ``t_dot(cdf, t_star)`` the weight of its threshold functional's
+derivative (a point mass at t*, or None when the threshold does not depend
+on the data), and ``to_dict()`` its JSON view.
+``_apply_procedure_rows`` is the one row-wise step-up and tally of a
+p-value block; ``_group_counts``, its count of each group's p <= cut, is
+also the one count of the e.c.d.f. covariance probe.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ class BH:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def thresholds(self, p: np.ndarray) -> np.ndarray:
-        """Row-wise step-up over a (B, m) array: alpha * k / m per row, with
-        k = max{i : p_(i) <= i*alpha/m} in exact arithmetic, or 0.0 where no
-        order statistic clears its line."""
+    def thresholds(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise step-up over a (B, m) array: per row (alpha * k / m,
+        p_(k)) with k = max{i : p_(i) <= i*alpha/m} in exact arithmetic, or
+        zeros where no order statistic clears its line.  The cut p_(k) rejects
+        exactly k, even where the float alpha * k / m rounds below it."""
         m = p.shape[1]
         p = np.sort(p, axis=1)
         lines = self.alpha * np.arange(1, m + 1) / m
@@ -52,12 +55,13 @@ class BH:
         slack = lines * 2.0**-50
         below = p <= lines + slack
         k = np.where(below.any(axis=1), m - np.argmax(below[:, ::-1], axis=1), 0)
+        cut = p[np.arange(k.size), k - 1]
         # the largest candidate is exact unless it is that close to its line
-        near = (k > 0) & (p[np.arange(k.size), k - 1] > (lines - slack)[k - 1])
-        for r in np.flatnonzero(near):
+        for r in np.flatnonzero((k > 0) & (cut > (lines - slack)[k - 1])):
             while k[r] and Fraction(p[r, k[r] - 1]) * m > Fraction(self.alpha) * int(k[r]):
                 k[r] -= 1
-        return self.alpha * k / m
+            cut[r] = p[r, k[r] - 1]
+        return self.alpha * k / m, np.where(k > 0, cut, 0.0)
 
     def t_star(self, cdf) -> float:
         """The fixed point of G(t) = t / alpha."""
@@ -92,8 +96,10 @@ class FixedThreshold:
             raise ParameterError(f"threshold must lie in (0, 1), got {self.t!r}")
         object.__setattr__(self, "t", float(self.t))
 
-    def thresholds(self, p: np.ndarray) -> np.ndarray:
-        return np.full(p.shape[0], self.t)
+    def thresholds(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t, t) per row: the threshold is its own cut."""
+        t = np.full(p.shape[0], self.t)
+        return t, t
 
     def t_star(self, cdf) -> float:
         return self.t
@@ -109,16 +115,23 @@ class FixedThreshold:
 ThresholdProcedure = Union[BH, FixedThreshold]
 
 
+def _group_counts(p: np.ndarray, m0: int, cut):
+    """(#{p <= cut} over the first `m0` columns, the true nulls of the
+    model's nulls-first layout, and over the rest), per row of a (B, m)
+    p-value array; `cut` is a scalar or one value per row."""
+    below = p <= np.reshape(cut, (-1, 1))
+    return np.count_nonzero(below[:, :m0], axis=1), np.count_nonzero(below[:, m0:], axis=1)
+
+
 def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, m0: int):
     """Run a procedure on every row of a (B, m) p-value array whose first
-    `m0` columns are the true nulls (the model's nulls-first layout).
+    `m0` columns are the true nulls.
 
     Returns the per-row arrays (threshold, rejected, false_rejections, fdp);
-    ties at the threshold are rejected, and a row without rejections has
-    FDP 0.
+    p-values at or below the procedure's cut are rejected, and a row without
+    rejections has FDP 0.
     """
-    thresholds = procedure.thresholds(p)
-    rejected_mask = p <= thresholds[:, None]
-    rejected = np.count_nonzero(rejected_mask, axis=1)
-    false_rej = np.count_nonzero(rejected_mask[:, :m0], axis=1)
+    thresholds, cuts = procedure.thresholds(p)
+    false_rej, true_rej = _group_counts(p, m0, cuts)
+    rejected = false_rej + true_rej
     return thresholds, rejected, false_rej, false_rej / np.maximum(rejected, 1)

@@ -78,13 +78,15 @@ def group_counts(tau, p, grid):
 class GivenThresholds:
     """Stand-in threshold procedure that thresholds row i of a p-value block
     at t[i] (a scalar t applies to every row), with no range check, so a
-    tally can be read at any t in [0, 1], the endpoints included."""
+    tally can be read at any t in [0, 1], the endpoints included.  The
+    threshold is its own cut."""
 
     def __init__(self, t):
         self.t = t
 
     def thresholds(self, p):
-        return np.broadcast_to(np.asarray(self.t, dtype=float), (p.shape[0],))
+        t = np.broadcast_to(np.asarray(self.t, dtype=float), (p.shape[0],))
+        return t, t
 
 
 def bootstrap_cov_se(dev, n_boot=200, seed=0):

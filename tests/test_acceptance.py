@@ -114,7 +114,7 @@ def test_c01_bh_step_up_equals_functional_max():
         p = rng.uniform(0.0001, 0.9999, size=m)
         if rng.uniform() < 0.3:
             p = p**2
-        t = BH(alpha).thresholds(p[None])[0]
+        t = BH(alpha).thresholds(p[None])[0][0]
         k = bh_threshold_scan_k(p, alpha)
         ok = ok and (t == alpha * k / m) and bh_no_better_between(p, alpha, k)
         if not ok:

@@ -23,6 +23,16 @@ def run_cli(args):
     return cli.main(list(args))
 
 
+def _reject_non_finite(constant):
+    raise ValueError(f"non-finite number {constant} in the CLI's JSON")
+
+
+def load_json(text):
+    """Parse the CLI's JSON strictly: NaN and Infinity, which json.dumps
+    writes but JSON does not allow, fail the test."""
+    return json.loads(text, parse_constant=_reject_non_finite)
+
+
 @pytest.fixture(autouse=True)
 def isolated_outdir(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_OUTDIR, raising=False)
@@ -35,7 +45,7 @@ class TestTheory:
         assert run_cli(
             ["theory", "--pi0", "0.5", "--mu", "2", "--alpha", "0.2", "--theta", "0"]
         ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_json(capsys.readouterr().out)
         generic = report["theory"]
         closed = report["bh_closed_form"]
         assert generic["variance"] == pytest.approx(closed["sigma2"], rel=1e-10)
@@ -47,7 +57,7 @@ class TestTheory:
         assert run_cli(
             ["theory", "--pi0", "0.5", "--mu", "2", "--alpha", "0.2", "--case-ii"]
         ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_json(capsys.readouterr().out)
         assert report["theory"]["variance"] == pytest.approx(
             report["theory"]["c_squared"], rel=1e-14
         )
@@ -62,7 +72,7 @@ class TestTheory:
                 "--theta", "1", "--threshold", "0.4",
             ]
         ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_json(capsys.readouterr().out)
         assert report["procedure"] == {"kind": "fixed", "t": 0.4}
         assert "bh_closed_form" not in report
 
@@ -91,8 +101,22 @@ class TestTheory:
             assert run_cli(
                 ["theory", "--pi0", "0.5", "--mu", "1e155", "--alpha", "0.2", "--theta", "0"]
             ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_json(capsys.readouterr().out)
         assert math.isfinite(report["theory"]["variance"])
+
+    @pytest.mark.parametrize("mu", ["1.7e308", repr(sys.float_info.max)])
+    def test_shift_near_float_max_gives_the_closed_form_law(self, mu, capsys):
+        # mu*q(t) and mu**2 both overflow in the alternative density; its
+        # limit 0, not inf - inf = NaN, must leave BH's closed forms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                ["theory", "--pi0", "0.5", "--mu", mu, "--alpha", "0.2", "--theta", "0"]
+            ) == 0
+        report = load_json(capsys.readouterr().out)
+        theory, closed = report["theory"], report["bh_closed_form"]
+        for key in ("sigma2", "c_squared", "variance"):
+            assert theory[key] == pytest.approx(closed[key], rel=1e-12)
 
     def test_does_not_import_scipy_optimize(self, tmp_path):
         # the fixed point's Brent step is in the package, so no command pays
@@ -120,8 +144,8 @@ class TestTheory:
                 "--theta", "0", "--out", str(out),
             ]
         ) == 0
-        assert (out / "theory.json").exists()
-        assert (out / "config.json").exists()
+        assert load_json((out / "theory.json").read_text())["theory"]["regime"] == "case_i"
+        assert load_json((out / "config.json").read_text())["command"] == "theory"
 
 
 SIM_ARGS = [
@@ -136,7 +160,7 @@ class TestSimulate:
         assert run_cli(SIM_ARGS + ["--out", str(out)]) == 0
         assert (out / "config.json").exists()
         assert (out / "replicates.csv").exists()
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_json((out / "summary.json").read_text())
         assert summary["config"]["seed"] == 7
         assert summary["theory"] is not None
         assert len(summary["per_replicate_fdp"]) == 200
@@ -154,7 +178,7 @@ class TestSimulate:
             "--alpha", "0.2", "--replicates", "150", "--seed", "1", "--out", str(out),
         ]
         assert run_cli(args) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_json((out / "summary.json").read_text())
         assert summary["theory"] is None
         assert any("regime" in w for w in summary["warnings"])
 
@@ -165,9 +189,20 @@ class TestSimulate:
             "--alpha", "0.2", "--replicates", "150", "--seed", "1", "--out", str(out),
         ]
         assert run_cli(args) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_json((out / "summary.json").read_text())
         assert summary["theory"]["regime"] == "case_i"
         assert summary["config"]["rho"] == pytest.approx(4.0 / 500)
+
+    def test_shift_near_float_max_reports_the_law(self, tmp_path):
+        out = tmp_path / "huge"
+        args = [
+            "simulate", "--m", "100", "--theta", "0", "--pi0", "0.5", "--mu", "1.7e308",
+            "--alpha", "0.2", "--replicates", "100", "--seed", "1", "--out", str(out),
+        ]
+        assert run_cli(args) == 0
+        summary = load_json((out / "summary.json").read_text())
+        assert summary["theory_variance"] == pytest.approx(0.16, rel=1e-12)
+        assert summary["variance_ratio"] is not None and summary["warnings"] == []
 
     def test_missing_regime_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -223,7 +258,7 @@ class TestConfigFile:
         assert run_cli(
             ["simulate", "--config", str(cfg), "--replicates", "60", "--out", str(out)]
         ) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_json((out / "summary.json").read_text())
         assert summary["config"]["m"] == 1000  # from file
         assert summary["config"]["replicates"] == 60  # flag wins
 
@@ -252,7 +287,7 @@ class TestRateStudyCommand:
         assert run_cli(args) == 0
         lines = (out / "rate_study.csv").read_text().strip().splitlines()
         assert len(lines) == 4
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_json((out / "summary.json").read_text())
         assert [row["m"] for row in summary["rows"]] == [100, 200, 400]
 
 
@@ -281,11 +316,11 @@ class TestOracleCommand:
             "--alpha", "0.2", "--replicates", "150", "--seed", "9", "--out", str(out),
         ]
         assert run_cli(args) == 0
-        config = json.loads((out / "config.json").read_text())
+        config = load_json((out / "config.json").read_text())
         assert config["command"] == "oracle"
         assert config["oracle"] is True
         assert config["rho"] == 0.3 and config["seed"] == 9
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_json((out / "summary.json").read_text())
         assert summary["theory"]["theta"] == -1.0
 
     def test_reproducible(self, tmp_path):

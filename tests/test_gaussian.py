@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from equifdp import DomainError, phi_upper, phi_upper_inv, std_normal_density
+from equifdp import ParameterError, phi_upper, phi_upper_inv, std_normal_density
 
 # (z, P(Z >= z)); spans upper-tail probabilities from ~1 - 1e-16 down to
 # ~5.7e-300, i.e. the whole normally-representable range
@@ -74,7 +74,7 @@ class TestPhiUpper:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             phi_upper(bad)
 
 
@@ -118,7 +118,7 @@ class TestPhiUpperInv:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, np.nan])
     def test_domain_rejected(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             phi_upper_inv(bad)
 
 
@@ -132,7 +132,7 @@ class TestDensity:
         np.testing.assert_array_equal(std_normal_density(z), std_normal_density(-z))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             std_normal_density(np.inf)
 
     @pytest.mark.parametrize("z", [1e155, -1e155, 1.7e308, -1.7e308])

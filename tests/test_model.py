@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equifdp import (
@@ -21,11 +21,20 @@ from equifdp import (
     sample,
     write_sample_csv,
 )
-from equifdp.model import _generator, _seeded, _stream_states
+from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _generator, _seeded, _stream_states
 from equifdp.procedures import _apply_procedure_rows
 from oracles import GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
 
 P_MAX = np.nextafter(1.0, 0.0)
+
+
+def two_blocks(params, seed):
+    """Rows from streams (seed, 0) on, one more than a block holds, drawn by
+    the one draw path, _draw_blocks, in two blocks."""
+    n = max(1, _BLOCK_ELEMS // params.m) + 1
+    blocks = [x for _, _, x in _draw_blocks(params, seed, 0, n)]
+    assert len(blocks) == 2
+    return np.concatenate(blocks)
 
 
 def pooled_and_null_counts(procedure, s, rows=1):
@@ -131,9 +140,8 @@ class TestSeedingPort:
     @pytest.mark.parametrize("seed", PORT_SEEDS)
     @pytest.mark.parametrize("stream_id", PORT_IDS)
     def test_scalar_path_matches_numpy(self, seed, stream_id):
+        # RngStream.generator() runs the array path on one id
         want = numpy_stream(seed, stream_id).standard_normal(9)
-        port = _seeded(_generator(), _stream_states(seed, stream_id))
-        np.testing.assert_array_equal(port.standard_normal(9), want)
         stream = RngStream(seed, stream_id).generator()
         np.testing.assert_array_equal(stream.standard_normal(9), want)
 
@@ -150,7 +158,6 @@ class TestSeedingPort:
     @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))
     def test_state_matches_numpy(self, seed, stream_id):
         state = numpy_stream(seed, stream_id).bit_generator.state["state"]
-        assert _stream_states(seed, stream_id) == (state["state"], state["inc"])
         ids = np.array([stream_id], dtype=np.uint64)
         assert _stream_states(seed, ids) == [(state["state"], state["inc"])]
 
@@ -169,14 +176,35 @@ class TestSampler:
         s = sample(params, RngStream(1, 0))
         assert np.all(s.p > 0.0) and np.all(s.p < 1.0)
 
-    def test_negative_boundary_rho_centers_exactly(self):
+    @settings(max_examples=40)
+    @given(m=st.integers(2, 300), pi0=st.floats(0.01, 0.99), seed=st.integers(0, 2**64 - 1))
+    @example(m=64, pi0=0.5, seed=5)
+    @example(m=50, pi0=0.5, seed=5)  # 1 + (m-1)*rho rounds to 2**-53, not 0
+    def test_negative_boundary_rho_centers_exactly(self, m, pi0, seed):
         # at rho = -1/(m-1) the common factor drops out and the centered
-        # statistics sum to zero up to float rounding
-        m = 64
-        params = ModelParams(m=m, pi0=0.5, mu=2.0, rho=-1.0 / (m - 1))
-        s = sample(params, RngStream(5, 0))
-        resid = np.sum(s.x - np.where(s.tau, params.mu, 0.0))
-        assert abs(resid) <= 1e-10 * np.sqrt(m)
+        # statistics of every row sum to zero up to float rounding
+        assume(1 <= math.floor(m * pi0) <= m - 1)
+        params = ModelParams(m=m, pi0=pi0, mu=2.0, rho=-1.0 / (m - 1))
+        x = two_blocks(params, seed)
+        resid = np.sum(x - np.where(np.arange(m) >= params.m0, params.mu, 0.0), axis=1)
+        assert np.all(np.abs(resid) <= 1e-10 * np.sqrt(m))
+
+    @settings(max_examples=40)
+    @given(m=st.integers(2, 300), pi0=st.floats(0.01, 0.99), seed=st.integers(0, 2**64 - 1))
+    def test_rho_one_gives_the_common_factor_exactly(self, m, pi0, seed):
+        # at rho = 1 every statistic is the common factor U, the variate a
+        # stream gives after its m for xi: each null equals U bit for bit
+        # and each alternative U + mu
+        assume(1 <= math.floor(m * pi0) <= m - 1)
+        params = ModelParams(m=m, pi0=pi0, mu=2.0, rho=1.0)
+        x = two_blocks(params, seed)
+        u = np.empty((x.shape[0], 1))
+        for r in range(x.shape[0]):
+            rng = RngStream(seed, r).generator()
+            rng.standard_normal(m)
+            u[r] = rng.standard_normal()
+        assert np.array_equal(x[:, : params.m0], np.repeat(u, params.m0, axis=1))
+        assert np.array_equal(x[:, params.m0 :], np.repeat(u + params.mu, m - params.m0, axis=1))
 
     def test_independence_at_rho_zero(self):
         # empirical cross-covariance at m=4 over 1e5 replicates within 3 MC

@@ -19,7 +19,7 @@ from equifdp import (
     run,
     sample,
 )
-from equifdp.model import _draw_block, _generator, _stream_states
+from equifdp.model import _draw_blocks
 from equifdp.oracle import _rescale
 
 # pinned with 60-digit bisection: fixed point of the mu/sqrt(0.7) mixture
@@ -29,9 +29,9 @@ BASE = ModelParams(m=5000, pi0=0.5, mu=2.0, rho=0.3)
 
 
 def draw_block(params, seed, count):
-    """Rows from streams (seed, 0) .. (seed, count - 1), drawn as one block."""
-    states = _stream_states(seed, np.arange(count, dtype=np.uint64))
-    return _draw_block(params, _generator(), states)
+    """Rows from streams (seed, 0) .. (seed, count - 1), the blocks of
+    :func:`_draw_blocks` stacked."""
+    return np.concatenate([x for _, _, x in _draw_blocks(params, seed, 0, count)])
 
 
 class TestOracleParams:

@@ -30,7 +30,7 @@ from oracles import (
 
 def bh(p, alpha):
     """BH threshold of one p-value vector."""
-    return BH(alpha).thresholds(np.asarray(p)[None])[0]
+    return BH(alpha).thresholds(np.asarray(p)[None])[0][0]
 
 
 def tally(procedure, s):
@@ -92,7 +92,10 @@ class TestBhThreshold:
             lambda t: float(np.nextafter(t, to))))
         pool = data.draw(st.lists(line | next_to | st.floats(0.0, 1.0), min_size=1, max_size=m))
         p = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="p"))
-        assert bh(p, alpha) == alpha * bh_threshold_scan_k(p, alpha) / m
+        k = bh_threshold_scan_k(p, alpha)
+        assert bh(p, alpha) == alpha * k / m
+        # the tally rejects exactly the scan's k, however alpha*k/m rounds
+        assert _apply_procedure_rows(BH(alpha), p[None], m)[1][0] == k
 
     def test_order_statistic_between_a_float_line_and_its_exact_value(self):
         # 0.3 * 3 / 15 rounds twice, to 0.05999999999999999, below the exact
@@ -100,6 +103,16 @@ class TestBhThreshold:
         p = np.array([1e-9, 1e-9, 0.06] + [0.99] * 12)
         assert bh_threshold_scan_k(p, 0.3) == 3
         assert bh(p, 0.3) == 0.3 * 3 / 15
+
+    def test_tally_rejects_k_where_the_float_line_rounds_below_p_k(self):
+        # the same p: the threshold reported is the float 0.3 * 3 / 15, below
+        # p_(3) = 0.06, yet the tally rejects all k = 3 (all of them nulls)
+        p = np.array([1e-9, 1e-9, 0.06] + [0.99] * 12)
+        threshold, rejected, false_rej, fdp = (
+            col[0] for col in _apply_procedure_rows(BH(0.3), p[None], 15)
+        )
+        assert threshold == 0.3 * 3 / 15 < 0.06
+        assert rejected == false_rej == 3 and fdp == 1.0
 
 
 class TestApplyProcedure:
