@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _ROOT_RTOL = 4 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _RESIDUAL_TOL = 1e-12
 
 
@@ -106,9 +107,13 @@ class MixtureCdf:
 
     def fdp_limit_deriv(self, t):
         """Derivative of the limiting FDP curve:
-        pi0 * (G(t) - t * dG(t)) / G(t)**2, for t in (0, 1)."""
+        pi0 * (G(t) - t * dG(t)) / G(t)**2, for t in (0, 1).  Where G(t)**2
+        falls below the normal floats (t below about 1e-154), losing digits
+        or all of them, the numerator is divided by G(t) twice instead."""
         g = self(t)
-        return self.pi0 * (g - np.asarray(t, dtype=float) * self.derivative(t)) / (g * g)
+        num = self.pi0 * (g - np.asarray(t, dtype=float) * self.derivative(t))
+        gg = g * g
+        return num / gg if np.all(gg >= _TINY) else num / g / g
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter):
@@ -173,7 +178,9 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     so the crossing is unique.  For small mu and alpha the crossing can sit
     extremely far left (down to ~1e-44 on ordinary parameter grids), so the
     left bracket endpoint slides down geometrically until the sign is
-    positive before Brent's method runs at full relative precision.
+    positive before Brent's method runs at full relative precision.  Where
+    t* lies so far below 1e-14 that the method runs out of steps, it runs
+    again on the last slide step's bracket, a factor of 1e8 wide.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats: it gives scipy's roots bit for bit, keeps its failures
@@ -192,24 +199,34 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     def h(t):
         return cdf(t) - t / alpha
 
-    left = 1e-14
+    left, right = 1e-14, 1.0 - 1e-14
+    if h(right) >= 0.0:
+        raise BracketingError(f"h(1-) >= 0 for alpha={alpha}; no crossing in (0, 1)")
+    step = right  # the last slide step's bracket is [left, step]
     while h(left) <= 0.0:
-        left *= 1e-8
+        left, step = left * 1e-8, left
         if left < 1e-290:
             raise FixedPointUnderflowError(
                 f"t* is below double range for pi0={cdf.pi0}, mu={cdf.mu}, "
                 f"alpha={alpha}: the bracket search found G(t) - t/alpha <= 0 "
                 f"down to 1e-290, so the fixed point underflows"
             )
-    right = 1.0 - 1e-14
-    if h(right) >= 0.0:
-        raise BracketingError(f"h(1-) >= 0 for alpha={alpha}; no crossing in (0, 1)")
 
-    root = float(_brentq(h, left, right, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300))
+    def solve(hi):
+        return float(_brentq(h, left, hi, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300))
 
-    residual = abs(cdf(root) - root / alpha)
+    try:
+        root = solve(right)
+    except BracketingError:
+        # far below 1e-14, bisection on [left, 1) cannot reach t* in 300
+        # steps; the last slide step brackets it within a factor 1e8
+        if step == right:
+            raise
+        root = solve(step)
+
+    residual = abs(cdf(root) - root / alpha) / (root / alpha)
     if residual > _RESIDUAL_TOL:
-        raise BracketingError(f"fixed-point residual {residual:.3e} exceeds tolerance")
+        raise BracketingError(f"fixed-point relative residual {residual:.3e} exceeds tolerance")
 
     # uniqueness pattern: h > 0 strictly left of the root, h < 0 strictly right
     left_grid = np.geomspace(left, root * 0.5, 8)

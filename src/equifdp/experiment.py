@@ -17,9 +17,11 @@ rho without the oracle transform).
 
 Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
 (B, m) array is drawn (row i from its own stream), rescaled in oracle mode,
-turned into p-values once, and thresholded and tallied row by row.  The run
-and the e.c.d.f. covariance probe share the draw, model._draw_blocks, and
-the count of each group's p-values at a cut, procedures._group_counts.
+and thresholded and tallied row by row on the statistics themselves; a
+p-value is computed only for a statistic in the rounding band of a cut.
+The run and the e.c.d.f. covariance probe share the draw,
+model._draw_blocks, and the count of each group's p-values at a cut,
+procedures._group_counts.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ from scipy import special
 from ._version import __version__
 from .asymptotics import AsymptoticLaw, asymptotic_law
 from .errors import ParameterError, RegimeError
-from .model import (
-    ModelParams, RhoSequence, RngStream, _check_streams, _draw_blocks, _is_int, _p_values,
-)
+from .model import ModelParams, RhoSequence, RngStream, _check_streams, _draw_blocks, _is_int
 from .oracle import OracleParams, _rescale
 from .procedures import ThresholdProcedure, _apply_procedure_rows, _group_counts
 
@@ -166,7 +166,7 @@ def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
     for lo, hi, x in _draw_blocks(base, config.seed, first_stream, out[0].shape[0]):
         if config.oracle_mode:
             x = _rescale(x, config.params)
-        rows = _apply_procedure_rows(config.procedure, _p_values(x), base.m0)
+        rows = _apply_procedure_rows(config.procedure, x, base.m0)
         for dst, src in zip(out, rows):
             dst[lo:hi] = src
 
@@ -354,9 +354,8 @@ def ecdf_covariance_probe(
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
     for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
-        p = _p_values(x)
         for j, g in enumerate(grid):
-            counts0[lo:hi, j], counts1[lo:hi, j] = _group_counts(p, m0, g)
+            counts0[lo:hi, j], counts1[lo:hi, j] = _group_counts(x, m0, g)
     root_m = math.sqrt(params.m)
     dev0 = root_m * (counts0 / m0 - grid)
     dev1 = root_m * (counts1 / (params.m - m0) - g1)

@@ -6,19 +6,25 @@ G_m(t) >= t / alpha, and a fixed threshold t0, the simplest member of the
 family of smooth threshold functionals (its derivative is zero, which makes
 it useful for isolating the e.c.d.f. fluctuation term in the limit theory).
 
-Each procedure carries its own behaviour: ``thresholds(p)`` gives the
-threshold of each row of a p-value block and the cut its tally counts at,
-``t_star(cdf)`` is the almost-sure limit of the threshold under a mixture
-c.d.f., ``t_dot(cdf, t_star)`` the weight of its threshold functional's
-derivative (a point mass at t*, or None when the threshold does not depend
-on the data), and ``to_dict()`` its JSON view.
-``_apply_procedure_rows`` is the one row-wise step-up and tally of a
-p-value block; ``_group_counts``, its count of each group's p <= cut, is
-also the one count of the e.c.d.f. covariance probe.
+Each procedure carries its own behaviour: ``thresholds(x)`` gives the
+threshold of each row of a block of statistics and the cut its tally counts
+at, ``t_star(cdf)`` is the almost-sure limit of the threshold under a
+mixture c.d.f., ``t_dot(cdf, t_star)`` the weight of its threshold
+functional's derivative (a point mass at t*, or None when the threshold does
+not depend on the data), and ``to_dict()`` its JSON view.
+``_apply_procedure_rows`` is the one row-wise step-up and tally of a block;
+``_group_counts``, its count of each group's p <= cut, is also the one count
+of the e.c.d.f. covariance probe.
+
+Every decision p <= g is made on the statistics, as x >= q(g) (q the
+upper-tail quantile), and a p-value is computed only for a statistic inside
+the rounding band of a cut (``model._x_band``); the decisions are those of
+the p-values ``model._p_values(x)``, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -27,6 +33,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import DegenerateCrossingError, ParameterError
+from .model import _p_values, _x_band
 
 __all__ = ["BH", "FixedThreshold", "ThresholdProcedure"]
 
@@ -42,26 +49,47 @@ class BH:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def thresholds(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise step-up over a (B, m) array: per row (alpha * k / m,
-        p_(k)) with k = max{i : p_(i) <= i*alpha/m} in exact arithmetic, or
-        zeros where no order statistic clears its line.  The cut p_(k) rejects
-        exactly k, even where the float alpha * k / m rounds below it."""
+    def thresholds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise step-up over a (B, m) block of statistics: per row
+        (alpha * k / m, cut) with k = max{i : p_(i) <= i*alpha/m} in exact
+        arithmetic on the p-values p = _p_values(x), or zeros where no order
+        statistic clears its line.  The tally at the cut rejects exactly the
+        k smallest p-values, even where the float alpha * k / m rounds below
+        p_(k).
+
+        The i-th largest statistic is compared with the band of line i.
+        Where it clears its band for i = k and falls below it for every
+        i > k, k is exact and the line alpha * k / m is the cut; a row with
+        an order statistic inside a band above k goes through the exact
+        step-up on its p-values, whose cut is p_(k).
+        """
+        m = x.shape[1]
+        lo, hi = _line_band(self.alpha, m)
+        x = np.sort(x, axis=1)  # column j: the (m - j)-th largest, against line m - j
+        k = _last_line(x >= hi)
+        cut = self.alpha * k / m
+        unsure = np.flatnonzero(_last_line(x >= lo) != k)
+        if unsure.size:
+            k[unsure], cut[unsure] = self._step_up(np.sort(_p_values(x[unsure]), axis=1))
+        return self.alpha * k / m, cut
+
+    def _step_up(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, p_(k)) per row of ascending p-values, k exact as in
+        :meth:`thresholds`; p_(k) is 0.0 where k = 0."""
         m = p.shape[1]
-        p = np.sort(p, axis=1)
         lines = self.alpha * np.arange(1, m + 1) / m
         # a float line lies within 3 ulp of i*alpha/m, inside a relative 2**-50:
         # only an order statistic that close needs an exact comparison
         slack = lines * 2.0**-50
         below = p <= lines + slack
-        k = np.where(below.any(axis=1), m - np.argmax(below[:, ::-1], axis=1), 0)
+        k = _last_line(below[:, ::-1])
         cut = p[np.arange(k.size), k - 1]
         # the largest candidate is exact unless it is that close to its line
         for r in np.flatnonzero((k > 0) & (cut > (lines - slack)[k - 1])):
             while k[r] and Fraction(p[r, k[r] - 1]) * m > Fraction(self.alpha) * int(k[r]):
                 k[r] -= 1
             cut[r] = p[r, k[r] - 1]
-        return self.alpha * k / m, np.where(k > 0, cut, 0.0)
+        return k, np.where(k > 0, cut, 0.0)
 
     def t_star(self, cdf) -> float:
         """The fixed point of G(t) = t / alpha."""
@@ -96,9 +124,9 @@ class FixedThreshold:
             raise ParameterError(f"threshold must lie in (0, 1), got {self.t!r}")
         object.__setattr__(self, "t", float(self.t))
 
-    def thresholds(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def thresholds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, t) per row: the threshold is its own cut."""
-        t = np.full(p.shape[0], self.t)
+        t = np.full(x.shape[0], self.t)
         return t, t
 
     def t_star(self, cdf) -> float:
@@ -115,23 +143,63 @@ class FixedThreshold:
 ThresholdProcedure = Union[BH, FixedThreshold]
 
 
-def _group_counts(p: np.ndarray, m0: int, cut):
+@functools.lru_cache(maxsize=4)
+def _line_band(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bands (lo, hi) of BH's lines alpha * k / m for k = m, ..., 1, in
+    the order of ascending statistics; computed once per (alpha, m) and
+    kept for the last few, such as the m of a rate study."""
+    bands = _x_band(alpha * np.arange(m, 0, -1) / m)
+    for band in bands:
+        band.setflags(write=False)
+    return bands
+
+
+def _last_line(hits: np.ndarray) -> np.ndarray:
+    """Per row of a (B, m) boolean array whose column j stands for line
+    m - j: the largest line with a hit, 0 where there is none."""
+    m = hits.shape[1]
+    return np.where(hits.any(axis=1), m - np.argmax(hits, axis=1), 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _cut_band(cut: float) -> tuple[float, float]:
+    """_x_band of one cut, kept for the cuts a probe reuses block after block."""
+    return tuple(map(float, _x_band(cut)))
+
+
+def _group_counts(x: np.ndarray, m0: int, cut):
     """(#{p <= cut} over the first `m0` columns, the true nulls of the
     model's nulls-first layout, and over the rest), per row of a (B, m)
-    p-value array; `cut` is a scalar or one value per row."""
-    below = p <= np.reshape(cut, (-1, 1))
+    block of statistics with p-values p = _p_values(x); `cut` is a p-value
+    in [0, 1], a scalar or one per row.  Decided as x >= q(cut); only the
+    statistics inside the cut's band get their p-value."""
+    if np.ndim(cut) == 0:
+        lo, hi = _cut_band(float(cut))
+    else:
+        cut = cut[:, None]
+        lo, hi = _x_band(cut)
+    below = x >= hi
+    band = (x >= lo) != below
+    if band.any():
+        rows, cols = np.nonzero(band)
+        below[rows, cols] = _p_values(x[rows, cols]) <= np.broadcast_to(cut, x.shape)[rows, cols]
+    if below.shape[0] < 8:
+        # count_nonzero along an axis casts every element; while rows are few
+        # and long, a flat count per row is up to three times faster
+        counts = np.array([(np.count_nonzero(r[:m0]), np.count_nonzero(r[m0:])) for r in below])
+        return counts[:, 0], counts[:, 1]
     return np.count_nonzero(below[:, :m0], axis=1), np.count_nonzero(below[:, m0:], axis=1)
 
 
-def _apply_procedure_rows(procedure: ThresholdProcedure, p: np.ndarray, m0: int):
-    """Run a procedure on every row of a (B, m) p-value array whose first
-    `m0` columns are the true nulls.
+def _apply_procedure_rows(procedure: ThresholdProcedure, x: np.ndarray, m0: int):
+    """Run a procedure on every row of a (B, m) block of statistics whose
+    first `m0` columns are the true nulls.
 
     Returns the per-row arrays (threshold, rejected, false_rejections, fdp);
-    p-values at or below the procedure's cut are rejected, and a row without
-    rejections has FDP 0.
+    statistics whose p-values are at or below the procedure's cut are
+    rejected, and a row without rejections has FDP 0.
     """
-    thresholds, cuts = procedure.thresholds(p)
-    false_rej, true_rej = _group_counts(p, m0, cuts)
+    thresholds, cuts = procedure.thresholds(x)
+    false_rej, true_rej = _group_counts(x, m0, cuts)
     rejected = false_rej + true_rej
     return thresholds, rejected, false_rej, false_rej / np.maximum(rejected, 1)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import erfc, log_ndtr, ndtr, ndtri
 
 
 def bh_threshold_scan_k(p, alpha):
@@ -76,17 +76,42 @@ def group_counts(tau, p, grid):
 
 
 class GivenThresholds:
-    """Stand-in threshold procedure that thresholds row i of a p-value block
-    at t[i] (a scalar t applies to every row), with no range check, so a
-    tally can be read at any t in [0, 1], the endpoints included.  The
-    threshold is its own cut."""
+    """Stand-in threshold procedure that thresholds row i of a block of
+    statistics at the p-value t[i] (a scalar t applies to every row), with
+    no range check, so a tally can be read at any t in [0, 1], the
+    endpoints included.  The threshold is its own cut."""
 
     def __init__(self, t):
         self.t = t
 
-    def thresholds(self, p):
-        t = np.broadcast_to(np.asarray(self.t, dtype=float), (p.shape[0],))
+    def thresholds(self, x):
+        t = np.broadcast_to(np.asarray(self.t, dtype=float), (x.shape[0],))
         return t, t
+
+
+P_MIN = np.nextafter(0.0, 1.0)
+P_MAX = np.nextafter(1.0, 0.0)
+
+
+def p_values(x):
+    """The p-values of statistics as the package defines them, recomputed:
+    P(Z >= x) by erfc, clamped into the open interval (0, 1)."""
+    return np.clip(0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0)), P_MIN, P_MAX)
+
+
+def statistic_with_p_value(p, ulps=64):
+    """A statistic x whose p-value is exactly `p`, searched within `ulps`
+    floats of the quantile -ndtri(p); raises ValueError if none is."""
+    x = lo = hi = -ndtri(p)
+    near = [x]
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        near += [lo, hi]
+    near = np.array(near)
+    exact = near[p_values(near) == p]
+    if exact.size == 0:
+        raise ValueError(f"no statistic within {ulps} ulps has p-value {p!r}")
+    return float(exact[0])
 
 
 def bootstrap_cov_se(dev, n_boot=200, seed=0):

@@ -38,6 +38,7 @@ from equifdp import (
     run,
     sample,
 )
+from equifdp.model import _draw_blocks, _p_values
 from oracles import (
     bh_closed_forms,
     bh_no_better_between,
@@ -47,6 +48,7 @@ from oracles import (
     central_difference,
     conditional_bh_fdp,
     ks_uniform,
+    p_values,
 )
 from test_gaussian import UPPER_TAIL_TABLE
 
@@ -114,7 +116,9 @@ def test_c01_bh_step_up_equals_functional_max():
         p = rng.uniform(0.0001, 0.9999, size=m)
         if rng.uniform() < 0.3:
             p = p**2
-        t = BH(alpha).thresholds(p[None])[0][0]
+        x = -special.ndtri(p)  # statistics; the step-up runs on their p-values
+        t = BH(alpha).thresholds(x[None])[0][0]
+        p = p_values(x)
         k = bh_threshold_scan_k(p, alpha)
         ok = ok and (t == alpha * k / m) and bh_no_better_between(p, alpha, k)
         if not ok:
@@ -304,9 +308,9 @@ def test_c09_sampler_moments():
     m, R, rho = 1000, 20_000, 0.3
     params = ModelParams(m=m, pi0=PI0, mu=MU, rho=rho)
     cols = (0, 250, 499, 500, 999)  # three nulls would do; include alternatives
-    xs = np.empty((R, len(cols)))
-    for r in range(R):
-        xs[r] = sample(params, RngStream(SEED, r)).x[list(cols)]
+    # the rows of sample(params, RngStream(SEED, r)), drawn in blocks
+    xs = np.concatenate([x[:, cols] for _, _, x in _draw_blocks(params, SEED, 0, R)])
+    assert np.array_equal(xs[-1], sample(params, RngStream(SEED, R - 1)).x[list(cols)])
     means = xs.mean(axis=0)
     mean_band = 3.0 / np.sqrt(R)
     mean_ok = (
@@ -330,8 +334,9 @@ def test_c09_sampler_moments():
     # null p-value uniformity at rho = 0, pooled across replicates
     params0 = ModelParams(m=m, pi0=PI0, mu=MU, rho=0.0)
     pooled = np.concatenate(
-        [sample(params0, RngStream(SEED + 1, r)).p[:500] for r in range(R)]
+        [_p_values(x[:, :500]).ravel() for _, _, x in _draw_blocks(params0, SEED + 1, 0, R)]
     )
+    assert np.array_equal(pooled[-500:], sample(params0, RngStream(SEED + 1, R - 1)).p[:500])
     ks = ks_uniform(pooled)
     ks_crit = 1.63 / np.sqrt(pooled.size)
     ks_ok = ks <= ks_crit

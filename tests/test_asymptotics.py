@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from equifdp import (
@@ -238,6 +240,28 @@ class TestFluctuationMeasures:
                     scale = pi0 * alpha / t
                     assert abs(z1) <= 1e-10 * scale
                     assert z0 == pytest.approx(scale, rel=1e-10)
+
+    @settings(max_examples=200)
+    @given(
+        pi0=st.floats(0.01, 0.99),
+        mu=st.floats(0.3, 20.0),
+        alpha=st.floats(1e-3, 0.5),
+    )
+    def test_bh_weights_are_the_closed_form_across_the_parameters(self, pi0, mu, alpha):
+        # z1's two parts cancel and z0 = pi0*alpha/t*.  Each part is exact
+        # to a few ulps times the crossing's conditioning
+        # kappa = 1/(1 - alpha*dG(t*)); the bound allows 16 ulps
+        cdf = MixtureCdf(pi0, mu)
+        try:
+            t = bh_fixed_point(cdf, alpha)
+        except FixedPointUnderflowError:
+            assume(False)
+        kappa = 1.0 / (1.0 - alpha * float(cdf.derivative(t)))
+        z0, z1 = fluctuation_weights(cdf, t, BH(alpha).t_dot(cdf, t))
+        q = cdf.fdp_limit(t)
+        tol = 16 * kappa * 2.0**-52
+        assert abs(z1) <= tol * q * (1.0 - q) / cdf.alt_cdf(t)
+        assert abs(z0 - pi0 * alpha / t) <= tol * pi0 * alpha / t
 
     def test_fixed_threshold_formulas(self):
         cdf = MixtureCdf(0.5, 2.0)

@@ -36,11 +36,10 @@ from equifdp import (
     sample,
 )
 
-from oracles import bh_threshold_scan_k, fdp_recount, group_counts
+from equifdp.procedures import _group_counts
+from oracles import bh_threshold_scan_k, fdp_recount, group_counts, p_values
 
 SEED = 20260808
-P_MIN = np.nextafter(0.0, 1.0)
-P_MAX = np.nextafter(1.0, 0.0)
 
 # replicates per m: R is not a multiple of the block size max(1, 16384 // m),
 # and at m = 5001 (3 rows per block) the last block has a single row
@@ -62,7 +61,7 @@ def naive_replicate(config, stream_id):
     x[tau] += mu
     if config.oracle_mode:
         x = math.sqrt(m / ((m - 1) * (1.0 - rho))) * (x - x.mean() + (1.0 - pi0) * mu)
-    p = np.clip(0.5 * special.erfc(x / math.sqrt(2.0)), P_MIN, P_MAX)
+    p = p_values(x)
     if isinstance(config.procedure, BH):
         alpha = config.procedure.alpha
         t = alpha * bh_threshold_scan_k(p, alpha) / m
@@ -199,8 +198,9 @@ def test_probe_equals_group_recount(m, replicates):
         np.testing.assert_array_equal(probe.dev_alt[r], root_m * (alt / (m - n_null) - g1))
 
 
-def test_oracle_run_evaluates_p_values_once(monkeypatch):
-    # the rescaled statistics are the only ones turned into p-values
+def test_oracle_run_evaluates_p_values_only_in_bands(monkeypatch):
+    # every rejection is decided on the rescaled statistics, and erfc runs
+    # only for a statistic inside a cut's rounding band: none at this seed
     seen = []
     original = equifdp.model.phi_upper
 
@@ -216,7 +216,41 @@ def test_oracle_run_evaluates_p_values_once(monkeypatch):
         seed=SEED,
     )
     run(config)
-    assert sum(seen) == 37 * 1000
+    assert seen == []
+    # a statistic on the cut's quantile is inside its band: it alone gets
+    # its p-value
+    x = np.array([[-special.ndtri(0.05), 0.0, 5.0, -1.0]])
+    below = p_values(x[0]) <= 0.05
+    assert [c.tolist() for c in _group_counts(x, 2, 0.05)] == [[below[:2].sum()], [below[2:].sum()]]
+    assert seen == [1]
+
+
+# sha256 of dev_null then dev_alt as float64 bytes, recorded when the probe
+# computed every p-value by erfc; the cuts run from 1e-6 to 1 - 2**-53
+PROBE_GRID = [1e-6, 0.05, 0.25, 0.5, 1 - 2**-53]
+PROBE_PINS = {
+    "m=3 rho=0": (
+        ModelParams(m=3, pi0=0.5, mu=2.0, rho=0.0), PROBE_GRID, 400,
+        "69299e7b9d934c65f731ea60703bcc2d64fc4d7c513d277d140e018bf5e73954",
+    ),
+    "m=1000 rho=0.1": (
+        ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.1), PROBE_GRID, 60,
+        "10cd3a54d9cc681459d2899ecfbb3f278ff95785453f2e09eeaf773a73a0d064",
+    ),
+    "m=10000 rho=0": (
+        ModelParams(m=10000, pi0=0.5, mu=2.0, rho=0.0), [1e-6, 0.25, 0.5, 1 - 2**-53], 30,
+        "62862e62d8daf6750eae7b0a685648a58e0f19d82890f6fd75955c0e02c0e1cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBE_PINS))
+def test_probe_digest_pins(name):
+    params, grid, replicates, digest = PROBE_PINS[name]
+    probe = ecdf_covariance_probe(params, grid, replicates, seed=SEED, stream_offset=3)
+    h = hashlib.sha256(np.ascontiguousarray(probe.dev_null, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(probe.dev_alt, dtype=np.float64).tobytes())
+    assert h.hexdigest() == digest
 
 
 # sha256 of the float64 bytes of per_replicate_fdp, recorded before replicates

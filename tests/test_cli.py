@@ -118,6 +118,46 @@ class TestTheory:
         for key in ("sigma2", "c_squared", "variance"):
             assert theory[key] == pytest.approx(closed[key], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "pi0,mu,alpha", [("0.5", "0.2", "0.01"), ("0.9", "0.2", "0.01"), ("0.7", "0.3", "0.001")]
+    )
+    def test_fixed_point_far_below_the_first_bracket(self, pi0, mu, alpha, capsys):
+        # t* lies far below 1e-14, where bisection on [left, 1 - 1e-14] runs
+        # out of its 300 steps (exit 1 before); in q'(t*), G(t*)**2
+        # underflows to 0 at the second point (an infinite law before) and
+        # to a subnormal with 5 digits left at the third
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                ["theory", "--pi0", pi0, "--mu", mu, "--alpha", alpha, "--theta", "0"]
+            ) == 0
+        report = load_json(capsys.readouterr().out)
+        t_star = report["theory"]["t_star"]
+        assert 1e-300 < t_star < 1e-150
+        cdf = equifdp.MixtureCdf(float(pi0), float(mu))
+        assert abs(cdf(t_star) * float(alpha) / t_star - 1.0) <= 1e-12
+        theory, closed = report["theory"], report["bh_closed_form"]
+        for key in ("sigma2", "c_squared", "variance"):
+            assert theory[key] == pytest.approx(closed[key], rel=1e-10)
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        pi0=st.floats(0.01, 0.99),
+        mu=st.floats(1.0, 20.0),
+        alpha=st.floats(0.01, 0.5),
+        theta=st.floats(-1.0, 10.0),
+    )
+    def test_theory_json_floats_round_trip(self, pi0, mu, alpha, theta, capsys):
+        # every float the report prints parses back to the law's own value
+        argv = ["theory", "--pi0", repr(pi0), "--mu", repr(mu), "--alpha", repr(alpha)]
+        assert run_cli([*argv, f"--theta={theta!r}"]) == 0
+        report = load_json(capsys.readouterr().out)
+        law = equifdp.asymptotic_law(
+            equifdp.MixtureCdf(pi0, mu), equifdp.BH(alpha), equifdp.ThetaOverM(theta)
+        )
+        assert report["params"] == {"pi0": pi0, "mu": mu, "alpha": alpha}
+        assert report["theory"] == law.to_dict()
+
     def test_does_not_import_scipy_optimize(self, tmp_path):
         # the fixed point's Brent step is in the package, so no command pays
         # for scipy.optimize (about 23 MB resident and 0.3 s at import)

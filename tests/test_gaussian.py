@@ -39,6 +39,20 @@ UPPER_TAIL_TABLE = [
     (37.0, 5.72557122252457682268319254827e-300),
 ]
 
+# (t, z with P(Z >= z) = t), t the double nearest the decimal; down to the
+# smallest subnormal
+QUANTILE_TABLE = [
+    (5e-324, 38.4674056171443462507843621685),
+    (1e-320, 38.2691253430326510181810063596),
+    (1e-310, 37.6630603319495237318909804982),
+    (2.2250738585072014e-308, 37.519379347144499820682391897),
+    (1e-300, 37.0470962993611992365470425049),
+    (1e-200, 30.2055941795796430631240136623),
+    (1e-50, 14.9333375347884889806582114809),
+    (0.05, 1.64485362695147268795212807646),
+    (0.95, -1.64485362695147228427631560354),
+]
+
 DENSITY_TABLE = [
     (0.0, 0.398942280401432677939946059934),
     (1.0, 0.241970724519143349797830192936),
@@ -51,6 +65,8 @@ class TestPhiUpper:
     @pytest.mark.parametrize("z,expected", UPPER_TAIL_TABLE)
     def test_reference_table(self, z, expected):
         assert phi_upper(z) == pytest.approx(expected, rel=1e-10)
+        # the stated accuracy, which the decisions on the statistics rest on
+        assert abs(phi_upper(z) - expected) <= (z * z * 2.0**-51 + 2.0**-48) * expected
 
     def test_median(self):
         assert phi_upper(0.0) == 0.5
@@ -93,6 +109,12 @@ class TestPhiUpperInv:
         # residual criterion: |phi_upper(inv(t)) - t| <= 1e-12 * max(t, 1-t)
         z_hat = phi_upper_inv(t)
         assert abs(phi_upper(z_hat) - t) <= 1e-12 * max(t, 1.0 - t)
+
+    @pytest.mark.parametrize("t,z", QUANTILE_TABLE)
+    def test_quantile_reference_table(self, t, z):
+        # a few ulps, 2**-50 relative, down to the smallest subnormal: the
+        # rounding band of the decisions on the statistics rests on it
+        assert abs(phi_upper_inv(t) - z) <= 2.0**-50 * abs(z)
 
     def test_roundtrip_from_probability(self):
         t = np.concatenate(

@@ -23,9 +23,7 @@ from equifdp import (
 )
 from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _generator, _seeded, _stream_states
 from equifdp.procedures import _apply_procedure_rows
-from oracles import GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
-
-P_MAX = np.nextafter(1.0, 0.0)
+from oracles import P_MAX, GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
 
 
 def two_blocks(params, seed):
@@ -37,11 +35,20 @@ def two_blocks(params, seed):
     return np.concatenate(blocks)
 
 
+def draw_rows(params, seed, n):
+    """Rows 0..n-1, row r the statistics of sample(params, RngStream(seed,
+    r)), from one _draw_blocks call; the last row is checked against
+    sample() itself."""
+    xs = np.concatenate([x for _, _, x in _draw_blocks(params, seed, 0, n)])
+    assert np.array_equal(xs[-1], sample(params, RngStream(seed, n - 1)).x)
+    return xs
+
+
 def pooled_and_null_counts(procedure, s, rows=1):
     """(rejected, false_rejections): the pooled and null counts of p <= t
-    from the kernel's tally of `rows` copies of one sample."""
+    from the kernel's tally of `rows` copies of one sample's statistics."""
     _, rejected, false_rej, _ = _apply_procedure_rows(
-        procedure, np.tile(s.p, (rows, 1)), np.count_nonzero(~s.tau)
+        procedure, np.tile(s.x, (rows, 1)), np.count_nonzero(~s.tau)
     )
     return rejected, false_rej
 
@@ -211,9 +218,7 @@ class TestSampler:
         # standard errors of zero
         params = ModelParams(m=4, pi0=0.5, mu=2.0, rho=0.0)
         R = 100_000
-        xs = np.empty((R, 4))
-        for r in range(R):
-            xs[r] = sample(params, RngStream(777, r)).x
+        xs = draw_rows(params, 777, R)
         xs -= np.where([False, False, True, True], params.mu, 0.0)
         se = 3.0 / np.sqrt(R)
         for i, j in [(0, 1), (0, 2), (2, 3)]:
@@ -225,9 +230,7 @@ class TestSampler:
         # standard errors; exchangeability across null pairs
         rho, R = 0.3, 20_000
         params = ModelParams(m=50, pi0=0.5, mu=2.0, rho=rho)
-        xs = np.empty((R, 50))
-        for r in range(R):
-            xs[r] = sample(params, RngStream(2024, r)).x
+        xs = draw_rows(params, 2024, R)
         centered = xs - xs.mean(axis=0)
         var_se = 3.0 * np.sqrt(2.0 / R)
         for col in (0, 10, 30):
@@ -244,9 +247,7 @@ class TestSampler:
     def test_mean_on_alternatives(self):
         params = ModelParams(m=20, pi0=0.5, mu=2.0, rho=0.1)
         R = 10_000
-        col = np.empty(R)
-        for r in range(R):
-            col[r] = sample(params, RngStream(9, r)).x[15]  # alternative index
+        col = draw_rows(params, 9, R)[:, 15]  # alternative index
         assert abs(col.mean() - params.mu) <= 3.0 / np.sqrt(R)
 
     def test_null_p_values_uniform(self):

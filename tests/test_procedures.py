@@ -1,13 +1,16 @@
 """BH step-up threshold, rejection bookkeeping, and FDP counting.
 
-The library thresholds and tallies through one row-wise kernel,
-``_apply_procedure_rows``; these tests run it on one row.
+The library thresholds and tallies blocks of statistics through one
+row-wise kernel, ``_apply_procedure_rows``, deciding every p <= g on the
+statistics; these tests run it on one row and check it against the p-values
+of those statistics.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from equifdp import (
     BH,
@@ -18,41 +21,86 @@ from equifdp import (
     Sample,
     sample,
 )
-from equifdp.procedures import _apply_procedure_rows
+from equifdp.model import _p_values, _x_band
+from equifdp.procedures import _apply_procedure_rows, _group_counts
 from oracles import (
     GivenThresholds,
     bh_no_better_between,
     bh_threshold_scan_k,
     fdp_recount,
     group_counts,
+    p_values,
+    statistic_with_p_value,
 )
 
 
-def bh(p, alpha):
-    """BH threshold of one p-value vector."""
-    return BH(alpha).thresholds(np.asarray(p)[None])[0][0]
+def bh(x, alpha):
+    """BH threshold of one vector of statistics."""
+    return BH(alpha).thresholds(np.asarray(x, dtype=float)[None])[0][0]
+
+
+def statistics(p):
+    """Statistics whose p-values are `p` up to rounding (-ndtri)."""
+    return -ndtri(np.asarray(p, dtype=float))
+
+
+def ulps_from(v, n):
+    """The float n steps from v, up for n > 0 and down for n < 0."""
+    for _ in range(abs(n)):
+        v = np.nextafter(v, np.inf if n > 0 else -np.inf)
+    return float(v)
+
+
+def statistic_at(p):
+    """A statistic whose p-value is exactly p where one lies near the
+    quantile, else the quantile."""
+    try:
+        return statistic_with_p_value(p, ulps=8)
+    except ValueError:
+        return float(-ndtri(p))
+
+
+# cuts at the ends of the p-value range: the smallest subnormal, the
+# underflow range, the clamp _P_MAX and the float below it
+EDGE_CUTS = [0.0, 5e-324, 1e-300, 1e-6, 0.05, 0.5, 1.0 - 2.0**-52, np.nextafter(1.0, 0.0), 1.0]
+
+
+def near(values, ulps):
+    """Each finite value and its finite neighbours up to `ulps` floats away."""
+    out = [ulps_from(v, n) for v in values if np.isfinite(v) for n in range(-ulps, ulps + 1)]
+    return [v for v in out if np.isfinite(v)]
+
+
+def p_value_counts(x, m0, cut):
+    """The group counts of the p-values _p_values(x) at or below the cut."""
+    below = _p_values(x) <= np.reshape(cut, (-1, 1))
+    return np.count_nonzero(below[:, :m0], axis=1), np.count_nonzero(below[:, m0:], axis=1)
 
 
 def tally(procedure, s):
     """(threshold, rejected, false_rejections, fdp) of one sample."""
     m0 = np.count_nonzero(~s.tau)
-    return tuple(col[0] for col in _apply_procedure_rows(procedure, s.p[None], m0))
+    return tuple(col[0] for col in _apply_procedure_rows(procedure, s.x[None], m0))
+
+
+# m = 15 and alpha = 0.3: the float line 0.3 * 6 / 15 rounds to
+# 0.11999999999999998, below the exact line 6 * 0.3 / 15, and the float 0.12
+# lies between the two; a statistic has exactly that p-value
+TIE_WINDOW_X = [*statistics([1e-9] * 5), statistic_with_p_value(0.12), *[-2.5] * 9]
 
 
 class TestBhThreshold:
     def test_worked_example(self):
-        p = np.array([0.01, 0.02, 0.9, 0.95])
-        t = bh(p, 0.05)
+        x = statistics([0.01, 0.02, 0.9, 0.95])
+        t = bh(x, 0.05)
         assert t == 0.05 * 2 / 4  # k = 2
-        assert np.count_nonzero(p <= t) == 2
+        assert np.count_nonzero(p_values(x) <= t) == 2
 
     def test_full_rejection_when_all_small(self):
-        p = np.array([0.01, 0.02, 0.03])
-        assert bh(p, 0.5) == 0.5
+        assert bh(statistics([0.01, 0.02, 0.03]), 0.5) == 0.5
 
     def test_no_rejection(self):
-        p = np.array([0.9, 0.95, 0.99])
-        assert bh(p, 0.05) == 0.0
+        assert bh(statistics([0.9, 0.95, 0.99]), 0.05) == 0.0
 
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
@@ -70,7 +118,9 @@ class TestBhThreshold:
                 p = rng.uniform(0.0001, 0.9999, size=m) ** 2  # pile mass near 0
             else:
                 p = rng.uniform(0.0001, 0.9999, size=m)
-            t = bh(p, alpha)
+            x = statistics(p)
+            t = bh(x, alpha)
+            p = p_values(x)
             k = bh_threshold_scan_k(p, alpha)
             assert t == alpha * k / m
             assert bh_no_better_between(p, alpha, k)
@@ -78,41 +128,45 @@ class TestBhThreshold:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_equals_rational_scan_with_ties_and_points_on_the_lines(self, data):
-        # p-values that tie with each other, and that sit on the step-up
-        # lines alpha*k/m as a float computes them or one float away: where
-        # the float line rounds past alpha*k/m, only an exact comparison
-        # gets k right
+        # statistics that tie with each other, whose p-values sit on the
+        # step-up lines alpha*k/m as a float computes them or one float away,
+        # and the quantiles of those lines and their neighbours: where the
+        # float line rounds past alpha*k/m, only an exact comparison gets k
+        # right
         m = data.draw(st.integers(1, 40), label="m")
         alpha = data.draw(
             st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5]) | st.floats(0.001, 0.999),
             label="alpha",
         )
         line = st.integers(1, m).map(lambda k: alpha * k / m)
-        next_to = st.sampled_from([0.0, 1.0]).flatmap(lambda to: line.map(
-            lambda t: float(np.nextafter(t, to))))
-        pool = data.draw(st.lists(line | next_to | st.floats(0.0, 1.0), min_size=1, max_size=m))
-        p = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="p"))
-        k = bh_threshold_scan_k(p, alpha)
-        assert bh(p, alpha) == alpha * k / m
+        on = st.tuples(line, st.integers(-1, 1)).map(lambda t: ulps_from(*t))
+        near_q = st.tuples(on, st.integers(-3, 3)).map(lambda t: ulps_from(-ndtri(t[0]), t[1]))
+        pool = data.draw(
+            st.lists(on.map(statistic_at) | near_q | st.floats(-9.0, 40.0), min_size=1, max_size=m)
+        )
+        x = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="x"))
+        k = bh_threshold_scan_k(p_values(x), alpha)
+        assert bh(x, alpha) == alpha * k / m
         # the tally rejects exactly the scan's k, however alpha*k/m rounds
-        assert _apply_procedure_rows(BH(alpha), p[None], m)[1][0] == k
+        assert _apply_procedure_rows(BH(alpha), x[None], m)[1][0] == k
 
     def test_order_statistic_between_a_float_line_and_its_exact_value(self):
-        # 0.3 * 3 / 15 rounds twice, to 0.05999999999999999, below the exact
-        # line, and the float 0.06 lies between the two: k is 3, not 2
-        p = np.array([1e-9, 1e-9, 0.06] + [0.99] * 12)
-        assert bh_threshold_scan_k(p, 0.3) == 3
-        assert bh(p, 0.3) == 0.3 * 3 / 15
+        # the sixth p-value, 0.12, lies between the float line 0.3 * 6 / 15
+        # and the exact one: k is 6, not 5
+        x = np.array(TIE_WINDOW_X)
+        assert bh_threshold_scan_k(p_values(x), 0.3) == 6
+        assert bh(x, 0.3) == 0.3 * 6 / 15
 
     def test_tally_rejects_k_where_the_float_line_rounds_below_p_k(self):
-        # the same p: the threshold reported is the float 0.3 * 3 / 15, below
-        # p_(3) = 0.06, yet the tally rejects all k = 3 (all of them nulls)
-        p = np.array([1e-9, 1e-9, 0.06] + [0.99] * 12)
+        # the same statistics: the threshold reported is the float
+        # 0.3 * 6 / 15, below p_(6) = 0.12, yet the tally rejects all k = 6
+        # (all of them nulls)
+        x = np.array(TIE_WINDOW_X)
         threshold, rejected, false_rej, fdp = (
-            col[0] for col in _apply_procedure_rows(BH(0.3), p[None], 15)
+            col[0] for col in _apply_procedure_rows(BH(0.3), x[None], 15)
         )
-        assert threshold == 0.3 * 3 / 15 < 0.06
-        assert rejected == false_rej == 3 and fdp == 1.0
+        assert threshold == 0.3 * 6 / 15 < 0.12
+        assert rejected == false_rej == 6 and fdp == 1.0
 
 
 class TestApplyProcedure:
@@ -124,21 +178,16 @@ class TestApplyProcedure:
         assert rejected == 0 and fdp == 0.0
 
     def test_all_nulls_no_alternatives_rejected(self):
-        s = Sample(
-            tau=np.array([False, False, True, True]),
-            x=np.zeros(4),
-            p=np.array([0.01, 0.02, 0.8, 0.9]),
-        )
+        p = np.array([0.01, 0.02, 0.8, 0.9])
+        s = Sample(tau=np.array([False, False, True, True]), x=statistics(p), p=p)
         _, rejected, false_rej, fdp = tally(FixedThreshold(0.05), s)
         assert rejected == 2 and false_rej == 2
         assert fdp == 1.0
 
     def test_ties_at_threshold_are_rejected(self):
-        s = Sample(
-            tau=np.array([False, True, True]),
-            x=np.zeros(3),
-            p=np.array([0.3, 0.1, 0.9]),
-        )
+        p = np.array([0.3, 0.1, 0.9])
+        x = np.array([statistic_with_p_value(0.3), *statistics(p[1:])])
+        s = Sample(tau=np.array([False, True, True]), x=x, p=p)
         _, rejected, _, _ = tally(FixedThreshold(0.3), s)
         assert rejected == 2  # p = 0.3 exactly counts
 
@@ -186,7 +235,7 @@ class TestFdpAt:
         s = sample(params, RngStream(2, 3))
         ts = np.linspace(0.0, 1.0, 50)
         _, den, num, _ = _apply_procedure_rows(
-            GivenThresholds(ts), np.tile(s.p, (50, 1)), np.count_nonzero(~s.tau)
+            GivenThresholds(ts), np.tile(s.x, (50, 1)), np.count_nonzero(~s.tau)
         )
         assert all(a <= b for a, b in zip(num, num[1:]))
         assert all(a <= b for a, b in zip(den, den[1:]))
@@ -195,3 +244,71 @@ class TestFdpAt:
     def test_out_of_range_threshold(self):
         with pytest.raises(ParameterError):
             FixedThreshold(1.5)
+
+
+class TestDecisionsOnStatistics:
+    """Decisions p <= g made on the statistics equal those of their p-values,
+    for statistics placed where rounding decides: on and next to the
+    quantiles of the cuts and of BH's lines, on the edges of their bands,
+    and tied with each other."""
+
+    def test_band_edges_decide_their_side(self):
+        # x >= hi has p <= g and x < lo has p > g, right at the edges, for
+        # cuts across the whole range of p-values
+        g = np.concatenate(
+            [EDGE_CUTS, np.geomspace(5e-324, 0.9, 2000), 1.0 - np.geomspace(1e-16, 0.1, 200)]
+        )
+        lo, hi = _x_band(g)
+        sure = np.isfinite(hi)
+        assert np.all(_p_values(hi[sure]) <= g[sure])
+        sure = np.isfinite(lo)
+        assert np.all(_p_values(np.nextafter(lo[sure], -np.inf)) > g[sure])
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_group_counts_equal_p_value_counts(self, data):
+        rows = data.draw(st.integers(1, 4), label="rows")
+        m = data.draw(st.integers(1, 12), label="m")
+        per_row = data.draw(st.booleans(), label="per_row")
+        cut_st = st.sampled_from(EDGE_CUTS) | st.floats(0.0, 1.0)
+        cut = np.array(data.draw(st.lists(cut_st, min_size=rows, max_size=rows), label="cut"))
+        if not per_row:
+            cut = cut[0]
+        quantiles = -ndtri(np.atleast_1d(cut))
+        pool = near(quantiles, 4) + near(np.concatenate(_x_band(np.atleast_1d(cut))), 2)
+        x_st = st.sampled_from(pool) | st.floats(-40.0, 40.0)
+        x = np.array(data.draw(st.lists(x_st, min_size=rows * m, max_size=rows * m), label="x"))
+        x = x.reshape(rows, m)
+        m0 = data.draw(st.integers(0, m), label="m0")
+        got = _group_counts(x, m0, cut)
+        want = p_value_counts(x, m0, cut)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_bh_equals_the_step_up_on_p_values(self, data):
+        # threshold, rejected and false rejections against _p_values and the
+        # exact step-up on the p-values, and k against the rational scan
+        rows = data.draw(st.integers(1, 4), label="rows")
+        m = data.draw(st.integers(1, 30), label="m")
+        alpha = data.draw(
+            st.sampled_from([0.05, 0.2, 0.3, 0.5]) | st.floats(0.001, 0.999), label="alpha"
+        )
+        lines = alpha * np.arange(1, m + 1) / m
+        z = -ndtri(lines)
+        pool = near(z, 3) + near(np.concatenate(_x_band(lines)), 1)
+        pool += [statistic_at(t) for t in lines]
+        x_st = st.sampled_from(pool) | st.floats(-9.0, 40.0)
+        x = np.array(data.draw(st.lists(x_st, min_size=rows * m, max_size=rows * m), label="x"))
+        x = x.reshape(rows, m)
+        m0 = data.draw(st.integers(0, m), label="m0")
+        threshold, rejected, false_rej, _ = _apply_procedure_rows(BH(alpha), x, m0)
+        p = _p_values(x)
+        k, cut = BH(alpha)._step_up(np.sort(p, axis=1))
+        false_want, true_want = p_value_counts(x, m0, cut)
+        np.testing.assert_array_equal(threshold, alpha * k / m)
+        np.testing.assert_array_equal(rejected, false_want + true_want)
+        np.testing.assert_array_equal(false_rej, false_want)
+        np.testing.assert_array_equal(rejected, k)
+        assert list(k) == [bh_threshold_scan_k(row, alpha) for row in p]

@@ -1,4 +1,4 @@
-"""Regenerate the high-precision reference table frozen into
+"""Regenerate the high-precision reference tables frozen into
 tests/test_gaussian.py.
 
 Requires mpmath (not a package dependency).  Run from the repository root:
@@ -21,8 +21,23 @@ Z_POINTS = [
 ]
 
 
+# probabilities down to the smallest subnormal, where the x-domain decisions
+# of the package still rely on the quantile's accuracy
+T_POINTS = [
+    "5e-324", "1e-320", "1e-310", "2.2250738585072014e-308", "1e-300", "1e-200",
+    "1e-50", "0.05", "0.95",
+]
+
+
 def phi_upper(z):
     return mp.ncdf(-z)
+
+
+def phi_upper_inv(t):
+    """The z with P(Z >= z) = t, for t the double nearest the decimal."""
+    t = mp.mpf(float(t))
+    start = mp.sqrt(-2 * mp.log(t)) if t < 0.5 else -mp.sqrt(-2 * mp.log(1 - t))
+    return mp.findroot(lambda z: mp.log(phi_upper(z)) - mp.log(t), start)
 
 
 def main():
@@ -30,6 +45,11 @@ def main():
     for z in Z_POINTS:
         t = phi_upper(mp.mpf(z))
         print(f"    ({z}, {mp.nstr(t, 30)}),")
+    print("]")
+    print()
+    print("QUANTILE_TABLE = [")
+    for t in T_POINTS:
+        print(f"    ({t}, {mp.nstr(phi_upper_inv(t), 30)}),")
     print("]")
     print()
     print("DENSITY_TABLE = [")
