@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theory = sub.add_parser("theory", help="closed-form limit quantities as JSON")
+    p_theory.set_defaults(handler=_cmd_theory)
     _add_model_flags(p_theory, with_m=False)
     g = p_theory.add_mutually_exclusive_group(required=True)
     g.add_argument("--theta", type=float, help="regime m*rho_m -> theta")
@@ -114,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="flat key=value file mirroring flag names")
 
     p_sim = sub.add_parser("simulate", help="replicated Monte Carlo run")
+    p_sim.set_defaults(handler=_cmd_run)
     _add_model_flags(p_sim)
     _add_regime_flags(p_sim)
     p_sim.add_argument("--threshold", type=float, default=None,
@@ -121,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sim)
 
     p_rate = sub.add_parser("rate-study", help="simulate across a grid of m values")
+    p_rate.set_defaults(handler=_cmd_run)
     p_rate.add_argument("--m-grid", type=_m_grid, required=True,
                         help="comma-separated increasing m values (>= 3)")
     _add_model_flags(p_rate, with_m=False)
@@ -130,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_rate)
 
     p_oracle = sub.add_parser("oracle", help="simulate with the fixed-rho rescaling")
+    p_oracle.set_defaults(handler=_cmd_run)
     _add_model_flags(p_oracle)
     p_oracle.add_argument("--rho", type=float, required=True,
                           help="known fixed equi-correlation in (0, 1)")
@@ -166,15 +170,23 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    tokens = _config_tokens(argv[idx + 1])
-    # insert right after the subcommand so explicit flags still win
-    return argv[:1] + tokens + argv[1:]
+_CONFIG_ABBREVIATIONS = {"--config"[:k] for k in range(4, 8)}  # --co, ..., --confi
+
+
+def _inject_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the tokens of the file of the first ``--config FILE`` or
+    ``--config=FILE`` right after the subcommand, so explicit flags still
+    win; a trailing ``--config`` is left for argparse to report.  An
+    abbreviation, which argparse would take for --config without the file
+    being loaded, is a usage error."""
+    path = None
+    for i, token in enumerate(argv):
+        name, eq, value = token.partition("=")
+        if name in _CONFIG_ABBREVIATIONS:
+            parser.error(f"{name} abbreviates --config; spell it --config FILE or --config=FILE")
+        if name == "--config" and path is None and (eq or i + 1 < len(argv)):
+            path = value if eq else argv[i + 1]
+    return argv if path is None else argv[:1] + _config_tokens(path) + argv[1:]
 
 
 # --- helpers ---------------------------------------------------------------------
@@ -306,19 +318,11 @@ def _cmd_run(args) -> int:
     return EXIT_CHECK_FAILED if args.check and failed else EXIT_OK
 
 
-_COMMANDS = {
-    "theory": _cmd_theory,
-    "simulate": _cmd_run,
-    "rate-study": _cmd_run,
-    "oracle": _cmd_run,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _inject_config(argv)
+        argv = _inject_config(parser, argv)
     except (OSError, EquifdpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -326,7 +330,7 @@ def main(argv=None) -> int:
     if getattr(args, "workers", 1) < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ParameterError as exc:
         parser.error(str(exc))
     except EquifdpError as exc:

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["EquifdpError", "ParameterError", "BracketingError", "FixedPointUnderflowError",
+           "DegenerateCrossingError", "RegimeError"]
+
 
 class EquifdpError(Exception):
     """Base class for all package-specific errors."""

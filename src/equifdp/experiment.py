@@ -281,8 +281,8 @@ class RateStudyResult:
         return out
 
     def write_csv(self, path) -> None:
-        cols = ["m", "var_scaled", "theory_variance", "variance_ratio", "ks_statistic", "var_sqrtm"]
-        _write_csv(path, cols, ([row[c] for c in cols] for row in self.table()))
+        table = self.table()
+        _write_csv(path, list(table[0]), (row.values() for row in table))
 
 
 def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:

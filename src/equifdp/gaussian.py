@@ -1,18 +1,22 @@
-"""Standard Gaussian tail, quantile, and density functions.
+"""Standard Gaussian tail, quantile, and density functions, and what their
+accuracy decides: clamped p-values and the rounding band of a cut.
 
 Every function in this package uses the upper-tail convention: ``phi_upper(z)``
 is P(Z >= z) for Z ~ N(0, 1), and ``phi_upper_inv`` is its inverse.  The
 lower-tail c.d.f. is deliberately not exposed; mixing conventions is the main
 source of sign bugs in this kind of code.
 
-Accuracy notes (checked against 60-digit reference values): relative error of
-``phi_upper`` is below z**2 * 2**-51 + 2**-48 wherever the result is a
-normal float (|z| <= 37.5), 6.1e-13 at |z| = 37: the roundings of the
-argument z / sqrt(2) and of erfc's exp(-z**2 / 2) grow in the tail by about
-z**2.  Results below the smallest normal float are only absolutely accurate
+Accuracy notes (checked against 60-digit reference values).  A relative
+error e in z moves P(Z >= z) by a relative e * (z**2 + 1) at most, the
+tail's conditioning |d log P / d log z| bounded by Mills' ratio.  Relative
+error of ``phi_upper`` is below z**2 * 2**-51 + 2**-48 < 2**-40 wherever the
+result is a normal float (|z| <= 37.5), 6.1e-13 at |z| = 37: the roundings
+of the argument z / sqrt(2) and of erfc's exp(-z**2 / 2) are amplified that
+way.  Results below the smallest normal float are only absolutely accurate
 and underflow to 0 near z = 37.7, which is the documented behavior for the
-far tail.  ``phi_upper_inv`` is accurate to a few ulps over
-[5e-324, 1 - 1e-16].
+far tail.  ``phi_upper_inv`` is accurate to a few ulps (2**-50) over
+[5e-324, 1 - 1e-16], so P(Z >= q) of its result q is within a relative
+2**-39 of t.
 """
 
 from __future__ import annotations
@@ -73,3 +77,47 @@ def std_normal_density(z):
     arr = np.minimum(np.abs(arr), _DENSITY_ZERO_FROM)
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
+
+
+# smallest/largest p-values kept after clamping
+_P_MIN = np.nextafter(0.0, 1.0)
+_P_MAX = np.nextafter(1.0, 0.0)
+
+
+def _p_values(x: np.ndarray) -> np.ndarray:
+    """One-sided p-values P(Z >= x) of statistics of any shape.
+
+    p-values that would round to exactly 0 or 1 are clamped to the nearest
+    interior float, so ``Sample.p`` lies in (0, 1) and the decision at an
+    edge cut is fixed: every p-value is <= a cut of _P_MAX.
+    """
+    p = phi_upper(x)
+    np.clip(p, _P_MIN, _P_MAX, out=p)
+    return p
+
+
+# --- deciding p <= g on the statistics ---------------------------------------
+#
+# p = _p_values(x) falls as x grows, so p <= g is x >= q(g), q the upper-tail
+# quantile, except where rounding can put the computed p on either side of g.
+# By the accuracy notes above, p is within a relative 2**-40 of P(Z >= x) and
+# P(Z >= q(g)) within 2**-39 of g; BH's float lines alpha * k / m lie within
+# 2**-50 of the exact lines.  _BAND_REL bounds their sum (< 2**-38.4) with
+# room for the first-order expansion, and _BAND_ABS covers p below the
+# smallest normal float, where erfc is only absolutely accurate.
+_BAND_REL = 2.0**-37
+_BAND_ABS = 2.0 * np.finfo(float).tiny
+
+
+def _x_band(g):
+    """(lo, hi): statistics x >= hi have _p_values(x) <= g, and x < lo have
+    _p_values(x) > g, for cuts g in [0, 1] of any shape, also when g moves
+    by a relative 2**-50; only x in [lo, hi) needs its p-value to decide.
+
+    hi is inf where no p-value is surely <= g (g in the underflow range),
+    and lo is -inf where none is surely > g (g within _BAND_REL of 1).
+    """
+    g = np.asarray(g, dtype=float)
+    lo = special.ndtri(np.minimum((g + _BAND_ABS) * (1.0 + _BAND_REL), 1.0))
+    hi = special.ndtri(np.maximum((g - _BAND_ABS) * (1.0 - _BAND_REL), 0.0))
+    return -lo, -hi

@@ -27,11 +27,10 @@ from typing import Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special
 
 from .asymptotics import MixtureCdf
 from .errors import EquifdpError, ParameterError
-from .gaussian import phi_upper
+from .gaussian import _p_values
 
 __all__ = [
     "ModelParams",
@@ -46,11 +45,6 @@ __all__ = [
 ]
 
 _UINT64_MAX = 2**64 - 1
-
-# smallest/largest p-values kept after clamping; downstream quantile calls
-# require the open interval (0, 1)
-_P_MIN = np.nextafter(0.0, 1.0)
-_P_MAX = np.nextafter(1.0, 0.0)
 
 
 def _is_int(v) -> bool:
@@ -398,51 +392,6 @@ def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
             x += common_sd * u
             x[:, m0:] += mu
             yield lo, hi, x
-
-
-def _p_values(x: np.ndarray) -> np.ndarray:
-    """One-sided p-values P(Z >= x) of statistics of any shape.
-
-    p-values that would round to exactly 0 or 1 are clamped to the nearest
-    interior float so downstream quantile transforms stay defined.
-    """
-    p = phi_upper(x)
-    np.clip(p, _P_MIN, _P_MAX, out=p)
-    return p
-
-
-# --- deciding p <= g on the statistics ---------------------------------------
-#
-# p = _p_values(x) falls as x grows, so p <= g is x >= q(g), q the upper-tail
-# quantile, except where rounding can put the computed p on either side of g.
-# Each relative error that can do so is bounded through the conditioning
-# |d log p / d log x| = x * density(x) / P(Z >= x) < x**2 + 1 (Mills' ratio),
-# with |x| < 38.5 down to the smallest subnormal p:
-# * erfc: its argument x / sqrt(2) carries two roundings and its
-#   exp(-x**2 / 2) the rounding of the square, amplified to x**2 * 2**-51;
-#   with erfc's own few ulps (2**-48) p is within a relative
-#   x**2 * 2**-51 + 2**-48 < 2**-40 of P(Z >= x) (gaussian.py);
-# * ndtri: a few ulps (2**-50) in q, which move P(Z >= q) by < 2**-39;
-# * BH's float lines alpha * k / m lie within 2**-50 of the exact lines.
-# _BAND_REL bounds their sum (< 2**-38.4) with room for the first-order
-# expansion.  Below the smallest normal float erfc is only absolutely
-# accurate (it underflows to 0 near x = 37.7); _BAND_ABS covers that.
-_BAND_REL = 2.0**-37
-_BAND_ABS = 2.0 * np.finfo(float).tiny
-
-
-def _x_band(g):
-    """(lo, hi): statistics x >= hi have _p_values(x) <= g, and x < lo have
-    _p_values(x) > g, for cuts g in [0, 1] of any shape, also when g moves
-    by a relative 2**-50; only x in [lo, hi) needs its p-value to decide.
-
-    hi is inf where no p-value is surely <= g (g in the underflow range),
-    and lo is -inf where none is surely > g (g within _BAND_REL of 1).
-    """
-    g = np.asarray(g, dtype=float)
-    lo = special.ndtri(np.minimum((g + _BAND_ABS) * (1.0 + _BAND_REL), 1.0))
-    hi = special.ndtri(np.maximum((g - _BAND_ABS) * (1.0 - _BAND_REL), 0.0))
-    return -lo, -hi
 
 
 def sample(params: ModelParams, stream: RngStream) -> Sample:

@@ -18,8 +18,8 @@ of the e.c.d.f. covariance probe.
 
 Every decision p <= g is made on the statistics, as x >= q(g) (q the
 upper-tail quantile), and a p-value is computed only for a statistic inside
-the rounding band of a cut (``model._x_band``); the decisions are those of
-the p-values ``model._p_values(x)``, bit for bit.
+the rounding band of a cut (``gaussian._x_band``); the decisions are those of
+the p-values ``gaussian._p_values(x)``, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import DegenerateCrossingError, ParameterError
-from .model import _p_values, _x_band
+from .gaussian import _p_values, _x_band
 
 __all__ = ["BH", "FixedThreshold", "ThresholdProcedure"]
 

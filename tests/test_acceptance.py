@@ -38,7 +38,8 @@ from equifdp import (
     run,
     sample,
 )
-from equifdp.model import _draw_blocks, _p_values
+from equifdp.gaussian import _p_values
+from equifdp.model import _draw_blocks
 from oracles import (
     bh_closed_forms,
     bh_no_better_between,

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import equifdp.experiment
+import equifdp.gaussian
 import equifdp.model
 from equifdp import (
     BH,
@@ -202,13 +203,13 @@ def test_oracle_run_evaluates_p_values_only_in_bands(monkeypatch):
     # every rejection is decided on the rescaled statistics, and erfc runs
     # only for a statistic inside a cut's rounding band: none at this seed
     seen = []
-    original = equifdp.model.phi_upper
+    original = equifdp.gaussian.phi_upper
 
     def counting(z):
         seen.append(np.size(z))
         return original(z)
 
-    monkeypatch.setattr(equifdp.model, "phi_upper", counting)
+    monkeypatch.setattr(equifdp.gaussian, "phi_upper", counting)
     config = ExperimentConfig(
         params=OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3)),
         procedure=BH(0.2),

@@ -302,6 +302,21 @@ class TestConfigFile:
         assert summary["config"]["m"] == 1000  # from file
         assert summary["config"]["replicates"] == 60  # flag wins
 
+    def test_config_equals_file_loads_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 100\nrho = 0\npi0 = 0.5\nmu = 2\nalpha = 0.2\nreplicates = 5\n")
+        out = tmp_path / "cfgout"
+        assert run_cli(["simulate", f"--config={cfg}", "--out", str(out)]) == 0
+        assert load_json((out / "summary.json").read_text())["config"]["replicates"] == 5
+
+    @pytest.mark.parametrize("spelling", ["--conf {}", "--co={}", "--confi {}"])
+    def test_abbreviated_config_is_usage_error(self, spelling, tmp_path_factory, tmp_path, capsys):
+        # argparse takes an abbreviation for --config, which would run without the file
+        cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        cfg.write_text("replicates = 5\n")
+        argv = SIM_ARGS + spelling.format(cfg).split()
+        assert_usage_error(argv, "--config", tmp_path, capsys)
+
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value pair\n")

@@ -1,9 +1,12 @@
-"""Every exported name resolves, in the package and in each submodule, and
-every name the demos and the README import from the package exists.
+"""Every exported name resolves, in the package and in each submodule, has
+one home, and every name the demos and the README import from the package
+exists.
 
 A name left in an ``__all__`` after its definition is deleted would
 otherwise fail only at ``from equifdp import *``, and a deleted name that a
-documented entry point imports only when someone runs it.
+documented entry point imports only when someone runs it.  The package's
+``__all__`` is composed of its modules' lists, so a name two modules export
+would let one star import silently shadow the other.
 """
 
 import ast
@@ -28,6 +31,17 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_package_names_are_unique():
+    assert len(set(equifdp.__all__)) == len(equifdp.__all__)
+
+
+def test_each_package_name_is_in_exactly_one_module():
+    lists = [getattr(importlib.import_module(name), "__all__", ()) for name in MODULES[1:]]
+    homes = {name: sum(name in names for names in lists) for name in equifdp.__all__}
+    del homes["__version__"]  # the one name defined outside a module's list
+    assert {name: n for name, n in homes.items() if n != 1} == {}
 
 
 def _documented_sources():

@@ -205,11 +205,14 @@ class TestSampler:
         assume(1 <= math.floor(m * pi0) <= m - 1)
         params = ModelParams(m=m, pi0=pi0, mu=2.0, rho=1.0)
         x = two_blocks(params, seed)
-        u = np.empty((x.shape[0], 1))
-        for r in range(x.shape[0]):
-            rng = RngStream(seed, r).generator()
-            rng.standard_normal(m)
-            u[r] = rng.standard_normal()
+        # the states of all rows in one call, one generator moved to each
+        rng, u = _generator(), np.empty((x.shape[0], 1))
+        for u_row, state_inc in zip(u, _stream_states(seed, np.arange(u.size, dtype=np.uint64))):
+            _seeded(rng, state_inc).standard_normal(m)
+            u_row[0] = rng.standard_normal()
+        last = RngStream(seed, u.size - 1).generator()
+        last.standard_normal(m)
+        assert last.standard_normal() == u[-1, 0]
         assert np.array_equal(x[:, : params.m0], np.repeat(u, params.m0, axis=1))
         assert np.array_equal(x[:, params.m0 :], np.repeat(u + params.mu, m - params.m0, axis=1))
 

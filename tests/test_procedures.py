@@ -21,7 +21,7 @@ from equifdp import (
     Sample,
     sample,
 )
-from equifdp.model import _p_values, _x_band
+from equifdp.gaussian import _p_values, _x_band
 from equifdp.procedures import _apply_procedure_rows, _group_counts
 from oracles import (
     GivenThresholds,
