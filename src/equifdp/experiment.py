@@ -17,11 +17,11 @@ rho without the oracle transform).
 
 Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
 (B, m) array is drawn (row i from its own stream), rescaled in oracle mode,
-and thresholded and tallied row by row on the statistics themselves; a
-p-value is computed only for a statistic in the rounding band of a cut.
-The run and the e.c.d.f. covariance probe share the draw,
-model._draw_blocks, and the count of each group's p-values at a cut,
-procedures._group_counts.
+and tallied row by row by the procedure on the statistics themselves (BH
+rejects the k largest); a p-value is computed only for a statistic in the
+rounding band of a cut.  The run and the e.c.d.f. covariance probe share the
+draw, model._draw_blocks; the probe counts with procedures._group_counts,
+the fixed threshold's count.
 """
 
 from __future__ import annotations
@@ -227,17 +227,15 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
         scaled = a_m * (fdp - law.center)
         if R >= 2:
             var_scaled = float(scaled.var(ddof=1))
-        if R >= _MIN_DIAGNOSTIC_R and var_scaled is not None:
+        if R >= _MIN_DIAGNOSTIC_R:
             mc_se = var_scaled * math.sqrt(2.0 / (R - 1))
             if law.variance > 0.0:
                 variance_ratio = var_scaled / law.variance
                 ks = ks_statistic_normal(scaled, math.sqrt(law.variance))
             else:
-                warnings = list(warnings) + ["theory variance is zero; KS skipped"]
-        elif R < _MIN_DIAGNOSTIC_R:
-            warnings = list(warnings) + [
-                f"R={R} < {_MIN_DIAGNOSTIC_R}: statistical diagnostics not reported"
-            ]
+                warnings.append("theory variance is zero; KS skipped")
+        else:
+            warnings.append(f"R={R} < {_MIN_DIAGNOSTIC_R}: statistical diagnostics not reported")
 
     return ExperimentSummary(
         config=config,

@@ -6,15 +6,15 @@ G_m(t) >= t / alpha, and a fixed threshold t0, the simplest member of the
 family of smooth threshold functionals (its derivative is zero, which makes
 it useful for isolating the e.c.d.f. fluctuation term in the limit theory).
 
-Each procedure carries its own behaviour: ``thresholds(x)`` gives the
-threshold of each row of a block of statistics and the cut its tally counts
-at, ``t_star(cdf)`` is the almost-sure limit of the threshold under a
-mixture c.d.f., ``t_dot(cdf, t_star)`` the weight of its threshold
-functional's derivative (a point mass at t*, or None when the threshold does
-not depend on the data), and ``to_dict()`` its JSON view.
-``_apply_procedure_rows`` is the one row-wise step-up and tally of a block;
-``_group_counts``, its count of each group's p <= cut, is also the one count
-of the e.c.d.f. covariance probe.
+Each procedure carries its own behaviour: ``tally(x, m0)`` gives the
+threshold, rejections and false rejections of each row of a block of
+statistics whose first m0 columns are the true nulls, ``t_star(cdf)`` is the
+almost-sure limit of the threshold under a mixture c.d.f., ``t_dot(cdf,
+t_star)`` the weight of its threshold functional's derivative (a point mass
+at t*, or None when the threshold does not depend on the data), and
+``to_dict()`` its JSON view.  BH rejects the k largest statistics of a row;
+``_group_counts``, the count of each group's p <= cut, is the count of the
+fixed threshold and of the e.c.d.f. covariance probe.
 
 Every decision p <= g is made on the statistics, as x >= q(g) (q the
 upper-tail quantile), and a p-value is computed only for a statistic inside
@@ -49,33 +49,37 @@ class BH:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def thresholds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise step-up over a (B, m) block of statistics: per row
-        (alpha * k / m, cut) with k = max{i : p_(i) <= i*alpha/m} in exact
-        arithmetic on the p-values p = _p_values(x), or zeros where no order
-        statistic clears its line.  The tally at the cut rejects exactly the
-        k smallest p-values, even where the float alpha * k / m rounds below
-        p_(k).
+    def tally(self, x: np.ndarray, m0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row-wise step-up over a (B, m) block of statistics whose first
+        `m0` columns are the true nulls: per row (alpha * k / m, k, false
+        rejections), k = max{i : p_(i) <= i*alpha/m} in exact arithmetic on
+        the p-values p = _p_values(x), 0 where no order statistic clears its
+        line; the k smallest p-values are rejected, however alpha*k/m rounds.
 
         The i-th largest statistic is compared with the band of line i.
         Where it clears its band for i = k and falls below it for every
-        i > k, k is exact and the line alpha * k / m is the cut; a row with
-        an order statistic inside a band above k goes through the exact
-        step-up on its p-values, whose cut is p_(k).
+        i > k, k is exact, and the k largest statistics are rejected: the
+        (k+1)-th lies below lo_(k+1) <= lo_k <= hi_k, so none ties with the
+        k-th.  A row with an order statistic inside a band above k goes
+        through the exact step-up on its p-values and rejects p <= p_(k).
         """
         m = x.shape[1]
         lo, hi = _line_band(self.alpha, m)
-        x = np.sort(x, axis=1)  # column j: the (m - j)-th largest, against line m - j
-        k = _last_line(x >= hi)
-        cut = self.alpha * k / m
-        unsure = np.flatnonzero(_last_line(x >= lo) != k)
+        xs = np.sort(x, axis=1)  # column j: the (m - j)-th largest, against line m - j
+        k = _last_line(xs >= hi)
+        # the k-th largest statistic; k = 0 rejects nothing
+        kth = np.where(k > 0, xs[np.arange(k.size), (m - k) % m], np.inf)
+        false_hits = x[:, :m0] >= kth[:, None]
+        unsure = np.flatnonzero(_last_line(xs >= lo) != k)
         if unsure.size:
-            k[unsure], cut[unsure] = self._step_up(np.sort(_p_values(x[unsure]), axis=1))
-        return self.alpha * k / m, cut
+            p = _p_values(x[unsure])
+            k[unsure], cut = self._step_up(np.sort(p, axis=1))
+            false_hits[unsure] = p[:, :m0] <= cut[:, None]
+        return self.alpha * k / m, k, _row_counts(false_hits)
 
     def _step_up(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, p_(k)) per row of ascending p-values, k exact as in
-        :meth:`thresholds`; p_(k) is 0.0 where k = 0."""
+        :meth:`tally`; p_(k) is 0.0 where k = 0."""
         m = p.shape[1]
         lines = self.alpha * np.arange(1, m + 1) / m
         # a float line lies within 3 ulp of i*alpha/m, inside a relative 2**-50:
@@ -124,10 +128,10 @@ class FixedThreshold:
             raise ParameterError(f"threshold must lie in (0, 1), got {self.t!r}")
         object.__setattr__(self, "t", float(self.t))
 
-    def thresholds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(t, t) per row: the threshold is its own cut."""
-        t = np.full(x.shape[0], self.t)
-        return t, t
+    def tally(self, x: np.ndarray, m0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, rejected, false rejections) per row: every p <= t is rejected."""
+        false_rej, true_rej = _group_counts(x, m0, self.t)
+        return np.full(x.shape[0], self.t), false_rej + true_rej, false_rej
 
     def t_star(self, cdf) -> float:
         return self.t
@@ -167,28 +171,27 @@ def _cut_band(cut: float) -> tuple[float, float]:
     return tuple(map(float, _x_band(cut)))
 
 
-def _group_counts(x: np.ndarray, m0: int, cut):
+def _row_counts(hits: np.ndarray) -> np.ndarray:
+    """The number of hits in each row of a (B, n) boolean array."""
+    if hits.shape[0] < 8:
+        # count_nonzero along an axis casts every element; while rows are few
+        # and long, a flat count per row is up to three times faster
+        return np.array([np.count_nonzero(r) for r in hits])
+    return np.count_nonzero(hits, axis=1)
+
+
+def _group_counts(x: np.ndarray, m0: int, cut: float):
     """(#{p <= cut} over the first `m0` columns, the true nulls of the
     model's nulls-first layout, and over the rest), per row of a (B, m)
-    block of statistics with p-values p = _p_values(x); `cut` is a p-value
-    in [0, 1], a scalar or one per row.  Decided as x >= q(cut); only the
-    statistics inside the cut's band get their p-value."""
-    if np.ndim(cut) == 0:
-        lo, hi = _cut_band(float(cut))
-    else:
-        cut = cut[:, None]
-        lo, hi = _x_band(cut)
+    block of statistics with p-values p = _p_values(x); `cut` is one p-value
+    in [0, 1].  Decided as x >= q(cut); only the statistics inside the cut's
+    band get their p-value."""
+    lo, hi = _cut_band(float(cut))
     below = x >= hi
     band = (x >= lo) != below
     if band.any():
-        rows, cols = np.nonzero(band)
-        below[rows, cols] = _p_values(x[rows, cols]) <= np.broadcast_to(cut, x.shape)[rows, cols]
-    if below.shape[0] < 8:
-        # count_nonzero along an axis casts every element; while rows are few
-        # and long, a flat count per row is up to three times faster
-        counts = np.array([(np.count_nonzero(r[:m0]), np.count_nonzero(r[m0:])) for r in below])
-        return counts[:, 0], counts[:, 1]
-    return np.count_nonzero(below[:, :m0], axis=1), np.count_nonzero(below[:, m0:], axis=1)
+        below[band] = _p_values(x[band]) <= cut
+    return _row_counts(below[:, :m0]), _row_counts(below[:, m0:])
 
 
 def _apply_procedure_rows(procedure: ThresholdProcedure, x: np.ndarray, m0: int):
@@ -196,10 +199,7 @@ def _apply_procedure_rows(procedure: ThresholdProcedure, x: np.ndarray, m0: int)
     first `m0` columns are the true nulls.
 
     Returns the per-row arrays (threshold, rejected, false_rejections, fdp);
-    statistics whose p-values are at or below the procedure's cut are
-    rejected, and a row without rejections has FDP 0.
+    a row without rejections has FDP 0.
     """
-    thresholds, cuts = procedure.thresholds(x)
-    false_rej, true_rej = _group_counts(x, m0, cuts)
-    rejected = false_rej + true_rej
+    thresholds, rejected, false_rej = procedure.tally(x, m0)
     return thresholds, rejected, false_rej, false_rej / np.maximum(rejected, 1)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive -- exhaustive scans, Python-loop
 recounts, central differences -- and stays independent of the library code
-paths it checks.
+paths it checks.  The one exception is the stand-in procedure
+``GivenThresholds``, which hands chosen cuts to the library's group count.
 """
 
 from bisect import bisect_right
@@ -11,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, log_ndtr, ndtr, ndtri
+
+from equifdp.procedures import _group_counts
 
 
 def bh_threshold_scan_k(p, alpha):
@@ -79,14 +82,17 @@ class GivenThresholds:
     """Stand-in threshold procedure that thresholds row i of a block of
     statistics at the p-value t[i] (a scalar t applies to every row), with
     no range check, so a tally can be read at any t in [0, 1], the
-    endpoints included.  The threshold is its own cut."""
+    endpoints included.  Each row is counted on its own by the library's
+    group count at its scalar cut."""
 
     def __init__(self, t):
         self.t = t
 
-    def thresholds(self, x):
+    def tally(self, x, m0):
         t = np.broadcast_to(np.asarray(self.t, dtype=float), (x.shape[0],))
-        return t, t
+        counts = [_group_counts(row[None], m0, cut) for row, cut in zip(x, t)]
+        false_rej, true_rej = np.array(counts)[:, :, 0].T
+        return t, false_rej + true_rej, false_rej
 
 
 P_MIN = np.nextafter(0.0, 1.0)

@@ -118,7 +118,7 @@ def test_c01_bh_step_up_equals_functional_max():
         if rng.uniform() < 0.3:
             p = p**2
         x = -special.ndtri(p)  # statistics; the step-up runs on their p-values
-        t = BH(alpha).thresholds(x[None])[0][0]
+        t = BH(alpha).tally(x[None], 0)[0][0]
         p = p_values(x)
         k = bh_threshold_scan_k(p, alpha)
         ok = ok and (t == alpha * k / m) and bh_no_better_between(p, alpha, k)

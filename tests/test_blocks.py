@@ -21,6 +21,7 @@ from scipy import special
 import equifdp.experiment
 import equifdp.gaussian
 import equifdp.model
+import equifdp.procedures
 from equifdp import (
     BH,
     ExperimentConfig,
@@ -224,6 +225,28 @@ def test_oracle_run_evaluates_p_values_only_in_bands(monkeypatch):
     below = p_values(x[0]) <= 0.05
     assert [c.tolist() for c in _group_counts(x, 2, 0.05)] == [[below[:2].sum()], [below[2:].sum()]]
     assert seen == [1]
+
+
+def test_oracle_bh_run_computes_each_band_once(monkeypatch):
+    # BH's tally rejects the k largest statistics: the bands of its m lines,
+    # computed once, decide the run, and no row gets a band of its own
+    seen = []
+    original = equifdp.procedures._x_band
+
+    def counting(g):
+        seen.append(np.size(g))
+        return original(g)
+
+    monkeypatch.setattr(equifdp.procedures, "_x_band", counting)
+    equifdp.procedures._line_band.cache_clear()
+    config = ExperimentConfig(
+        params=OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3)),
+        procedure=BH(0.2),
+        replicates=37,
+        seed=SEED,
+    )
+    run(config)
+    assert sum(seen) == 1000
 
 
 # sha256 of dev_null then dev_alt as float64 bytes, recorded when the probe

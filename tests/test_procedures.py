@@ -36,7 +36,7 @@ from oracles import (
 
 def bh(x, alpha):
     """BH threshold of one vector of statistics."""
-    return BH(alpha).thresholds(np.asarray(x, dtype=float)[None])[0][0]
+    return BH(alpha).tally(np.asarray(x, dtype=float)[None], 0)[0][0]
 
 
 def statistics(p):
@@ -269,11 +269,7 @@ class TestDecisionsOnStatistics:
     def test_group_counts_equal_p_value_counts(self, data):
         rows = data.draw(st.integers(1, 4), label="rows")
         m = data.draw(st.integers(1, 12), label="m")
-        per_row = data.draw(st.booleans(), label="per_row")
-        cut_st = st.sampled_from(EDGE_CUTS) | st.floats(0.0, 1.0)
-        cut = np.array(data.draw(st.lists(cut_st, min_size=rows, max_size=rows), label="cut"))
-        if not per_row:
-            cut = cut[0]
+        cut = data.draw(st.sampled_from(EDGE_CUTS) | st.floats(0.0, 1.0), label="cut")
         quantiles = -ndtri(np.atleast_1d(cut))
         pool = near(quantiles, 4) + near(np.concatenate(_x_band(np.atleast_1d(cut))), 2)
         x_st = st.sampled_from(pool) | st.floats(-40.0, 40.0)
