@@ -21,7 +21,7 @@ and tallied row by row by the procedure on the statistics themselves (BH
 rejects the k largest); a p-value is computed only for a statistic in the
 rounding band of a cut.  The run and the e.c.d.f. covariance probe share the
 draw, model._draw_blocks; the probe counts with procedures._group_counts,
-the fixed threshold's count.
+the fixed threshold's count, at the bands of its grid, computed once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from scipy import special
 from ._version import __version__
 from .asymptotics import AsymptoticLaw, asymptotic_law
 from .errors import ParameterError, RegimeError
-from .model import ModelParams, RhoSequence, RngStream, _check_streams, _draw_blocks, _is_int
+from .gaussian import _x_band
+from .model import ModelParams, RhoSequence, RngStream, Sample
+from .model import _check_streams, _draw_blocks, _is_int
 from .oracle import OracleParams, _rescale
 from .procedures import ThresholdProcedure, _apply_procedure_rows, _group_counts
 
@@ -57,6 +59,7 @@ __all__ = [
     "write_replicates_csv",
     "summary_to_dict",
     "write_summary_json",
+    "write_sample_csv",
 ]
 
 # asymptotic 1% critical value of the one-sample KS statistic, scaled by sqrt(R)
@@ -351,9 +354,10 @@ def ecdf_covariance_probe(
     m0 = params.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
+    bands = list(zip(*_x_band(grid)))  # (lo, hi) of each cut, for every block
     for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
-        for j, g in enumerate(grid):
-            counts0[lo:hi, j], counts1[lo:hi, j] = _group_counts(x, m0, g)
+        for j, (g, band) in enumerate(zip(grid, bands)):
+            counts0[lo:hi, j], counts1[lo:hi, j] = _group_counts(x, m0, g, band)
     root_m = math.sqrt(params.m)
     dev0 = root_m * (counts0 / m0 - grid)
     dev1 = root_m * (counts1 / (params.m - m0) - g1)
@@ -465,3 +469,9 @@ def write_replicates_csv(summary: ExperimentSummary, path) -> None:
     columns = (summary.fdp, summary.thresholds, summary.rejected, summary.false_rejections)
     fdp, thresholds, rejected, false_rej = (c.tolist() for c in columns)
     _write_csv(path, header, zip(range(R), fdp, scaled, thresholds, rejected, false_rej))
+
+
+def write_sample_csv(s: Sample, path) -> None:
+    """Debug dump: one row per hypothesis with header ``index,tau,x,p``."""
+    columns = (s.tau.astype(int), s.x, s.p)
+    _write_csv(path, ["index", "tau", "x", "p"], zip(range(s.m), *(c.tolist() for c in columns)))

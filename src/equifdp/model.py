@@ -18,11 +18,9 @@ where the common-factor coefficient vanishes.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -41,7 +39,6 @@ __all__ = [
     "FixedRho",
     "RhoSequence",
     "sample",
-    "write_sample_csv",
 ]
 
 _UINT64_MAX = 2**64 - 1
@@ -399,12 +396,3 @@ def sample(params: ModelParams, stream: RngStream) -> Sample:
     :func:`_draw_blocks` from `stream`, with its truth labels and p-values."""
     x = next(_draw_blocks(params, stream.seed, stream.stream_id, 1))[2][0]
     return Sample(tau=np.arange(params.m) >= params.m0, x=x, p=_p_values(x))
-
-
-def write_sample_csv(s: Sample, path) -> None:
-    """Debug dump: one row per hypothesis with header ``index,tau,x,p``."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "tau", "x", "p"])
-        for i in range(s.m):
-            writer.writerow([i, int(s.tau[i]), repr(float(s.x[i])), repr(float(s.p[i]))])

@@ -19,13 +19,16 @@ fixed threshold and of the e.c.d.f. covariance probe.
 Every decision p <= g is made on the statistics, as x >= q(g) (q the
 upper-tail quantile), and a p-value is computed only for a statistic inside
 the rounding band of a cut (``gaussian._x_band``); the decisions are those of
-the p-values ``gaussian._p_values(x)``, bit for bit.
+the p-values ``gaussian._p_values(x)``, bit for bit.  The code that knows a
+cut computes its band once: a fixed threshold when it is built, the probe
+for its whole grid, BH for its m lines (kept per (alpha, m), since only a
+block's width gives m).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -122,15 +125,17 @@ class FixedThreshold:
     """Reject all p-values <= t, with t fixed in advance."""
 
     t: float
+    _band: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.t < 1.0):
             raise ParameterError(f"threshold must lie in (0, 1), got {self.t!r}")
         object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "_band", _x_band(self.t))
 
     def tally(self, x: np.ndarray, m0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, rejected, false rejections) per row: every p <= t is rejected."""
-        false_rej, true_rej = _group_counts(x, m0, self.t)
+        false_rej, true_rej = _group_counts(x, m0, self.t, self._band)
         return np.full(x.shape[0], self.t), false_rej + true_rej, false_rej
 
     def t_star(self, cdf) -> float:
@@ -165,12 +170,6 @@ def _last_line(hits: np.ndarray) -> np.ndarray:
     return np.where(hits.any(axis=1), m - np.argmax(hits, axis=1), 0)
 
 
-@functools.lru_cache(maxsize=64)
-def _cut_band(cut: float) -> tuple[float, float]:
-    """_x_band of one cut, kept for the cuts a probe reuses block after block."""
-    return tuple(map(float, _x_band(cut)))
-
-
 def _row_counts(hits: np.ndarray) -> np.ndarray:
     """The number of hits in each row of a (B, n) boolean array."""
     if hits.shape[0] < 8:
@@ -180,17 +179,17 @@ def _row_counts(hits: np.ndarray) -> np.ndarray:
     return np.count_nonzero(hits, axis=1)
 
 
-def _group_counts(x: np.ndarray, m0: int, cut: float):
+def _group_counts(x: np.ndarray, m0: int, cut: float, band: tuple):
     """(#{p <= cut} over the first `m0` columns, the true nulls of the
     model's nulls-first layout, and over the rest), per row of a (B, m)
     block of statistics with p-values p = _p_values(x); `cut` is one p-value
-    in [0, 1].  Decided as x >= q(cut); only the statistics inside the cut's
-    band get their p-value."""
-    lo, hi = _cut_band(float(cut))
+    in [0, 1] and `band` its _x_band(cut).  Decided as x >= q(cut); only the
+    statistics inside the band get their p-value."""
+    lo, hi = band
     below = x >= hi
-    band = (x >= lo) != below
-    if band.any():
-        below[band] = _p_values(x[band]) <= cut
+    unsure = (x >= lo) != below
+    if unsure.any():
+        below[unsure] = _p_values(x[unsure]) <= cut
     return _row_counts(below[:, :m0]), _row_counts(below[:, m0:])
 
 

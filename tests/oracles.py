@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, log_ndtr, ndtr, ndtri
 
+from equifdp.gaussian import _x_band
 from equifdp.procedures import _group_counts
 
 
@@ -83,14 +84,16 @@ class GivenThresholds:
     statistics at the p-value t[i] (a scalar t applies to every row), with
     no range check, so a tally can be read at any t in [0, 1], the
     endpoints included.  Each row is counted on its own by the library's
-    group count at its scalar cut."""
+    group count at its scalar cut; the bands of all the cuts come from one
+    _x_band call."""
 
     def __init__(self, t):
         self.t = t
 
     def tally(self, x, m0):
         t = np.broadcast_to(np.asarray(self.t, dtype=float), (x.shape[0],))
-        counts = [_group_counts(row[None], m0, cut) for row, cut in zip(x, t)]
+        rows = zip(x, t, zip(*_x_band(t)))
+        counts = [_group_counts(row[None], m0, cut, band) for row, cut, band in rows]
         false_rej, true_rej = np.array(counts)[:, :, 0].T
         return t, false_rej + true_rej, false_rej
 

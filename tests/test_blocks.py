@@ -38,6 +38,7 @@ from equifdp import (
     sample,
 )
 
+from equifdp.gaussian import _x_band
 from equifdp.procedures import _group_counts
 from oracles import bh_threshold_scan_k, fdp_recount, group_counts, p_values
 
@@ -223,21 +224,30 @@ def test_oracle_run_evaluates_p_values_only_in_bands(monkeypatch):
     # its p-value
     x = np.array([[-special.ndtri(0.05), 0.0, 5.0, -1.0]])
     below = p_values(x[0]) <= 0.05
-    assert [c.tolist() for c in _group_counts(x, 2, 0.05)] == [[below[:2].sum()], [below[2:].sum()]]
+    counts = _group_counts(x, 2, 0.05, _x_band(0.05))
+    assert [c.tolist() for c in counts] == [[below[:2].sum()], [below[2:].sum()]]
     assert seen == [1]
 
 
-def test_oracle_bh_run_computes_each_band_once(monkeypatch):
-    # BH's tally rejects the k largest statistics: the bands of its m lines,
-    # computed once, decide the run, and no row gets a band of its own
+def _count_x_band(monkeypatch, *modules):
+    """The sizes of the cuts handed to _x_band through `modules`, appended
+    as the calls happen."""
     seen = []
-    original = equifdp.procedures._x_band
+    original = equifdp.gaussian._x_band
 
     def counting(g):
         seen.append(np.size(g))
         return original(g)
 
-    monkeypatch.setattr(equifdp.procedures, "_x_band", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "_x_band", counting)
+    return seen
+
+
+def test_oracle_bh_run_computes_each_band_once(monkeypatch):
+    # BH's tally rejects the k largest statistics: the bands of its m lines,
+    # computed once, decide the run, and no row gets a band of its own
+    seen = _count_x_band(monkeypatch, equifdp.procedures)
     equifdp.procedures._line_band.cache_clear()
     config = ExperimentConfig(
         params=OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3)),
@@ -247,6 +257,34 @@ def test_oracle_bh_run_computes_each_band_once(monkeypatch):
     )
     run(config)
     assert sum(seen) == 1000
+
+
+def test_probe_computes_each_band_once(monkeypatch):
+    # 65 cuts over 3 blocks of m = 1000 (16, 16 and 8 rows): each cut's band
+    # is computed once for the probe, not once per block
+    seen = _count_x_band(monkeypatch, equifdp.experiment, equifdp.procedures)
+    params = ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.1)
+    assert equifdp.model._BLOCK_ELEMS // params.m == 16
+    ecdf_covariance_probe(params, np.linspace(0.005, 0.995, 65), 40, seed=SEED)
+    assert sum(seen) == 65
+
+
+def test_fixed_threshold_computes_its_band_when_built(monkeypatch):
+    procedure = FixedThreshold(0.01)
+    seen = _count_x_band(monkeypatch, equifdp.procedures)
+    config = ExperimentConfig(
+        params=ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.1),
+        procedure=procedure,
+        replicates=40,
+        seed=SEED,
+    )
+    run(config)
+    assert seen == []
+    # the band is no part of the procedure's value or views
+    assert procedure == FixedThreshold(0.01) != FixedThreshold(0.02)
+    assert hash(procedure) == hash(FixedThreshold(0.01))
+    assert repr(procedure) == "FixedThreshold(t=0.01)"
+    assert procedure.to_dict() == {"kind": "fixed", "t": 0.01}
 
 
 # sha256 of dev_null then dev_alt as float64 bytes, recorded when the probe

@@ -511,6 +511,17 @@ OUTPUT_PINS = {
             "summary.json": "4e8649474392a1993ae9a2a2552b56f3146fe1c16b0d3d8ab58d8f0b2d9abd94",
         },
     ),
+    # the fixed-threshold path, recorded before a fixed threshold computed
+    # its cut's rounding band when built
+    "simulate-threshold": (
+        ["simulate", "--m", "500", "--rho", "0.1", "--threshold", "0.01", *_PIN_FLAGS,
+         "--replicates", "200", "--seed", "11", "--workers", "1"],
+        {
+            "config.json": "0467220e683039b14c3ced89bb3d8174112a0b2effc0ebe02e377403c9722c55",
+            "replicates.csv": "992dd538627965b62e61f5606d2fa3271a873c73df25d15134c59f2e233d5da1",
+            "summary.json": "a9922ce0d24e6e96291b30234b2235a06af7836086051c3142c4dfb2cec33bce",
+        },
+    ),
 }
 
 

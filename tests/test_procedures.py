@@ -276,7 +276,7 @@ class TestDecisionsOnStatistics:
         x = np.array(data.draw(st.lists(x_st, min_size=rows * m, max_size=rows * m), label="x"))
         x = x.reshape(rows, m)
         m0 = data.draw(st.integers(0, m), label="m0")
-        got = _group_counts(x, m0, cut)
+        got = _group_counts(x, m0, cut, _x_band(cut))
         want = p_value_counts(x, m0, cut)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
