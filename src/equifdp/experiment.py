@@ -17,11 +17,10 @@ rho without the oracle transform).
 
 Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
 (B, m) array is drawn (row i from its own stream), rescaled in oracle mode,
-and tallied row by row by the procedure on the statistics themselves (BH
-rejects the k largest); a p-value is computed only for a statistic in the
-rounding band of a cut.  The run and the e.c.d.f. covariance probe share the
-draw, model._draw_blocks; the probe counts with procedures._group_counts,
-the fixed threshold's count, at the bands of its grid, computed once.
+and handed to the procedure, which tallies each row on the statistics.  The
+run and the e.c.d.f. covariance probe share the draw, model._draw_blocks;
+the probe counts each grid point with a FixedThreshold, which holds its
+cut's rounding band.
 """
 
 from __future__ import annotations
@@ -40,11 +39,10 @@ from scipy import special
 from ._version import __version__
 from .asymptotics import AsymptoticLaw, asymptotic_law
 from .errors import ParameterError, RegimeError
-from .gaussian import _x_band
 from .model import ModelParams, RhoSequence, RngStream, Sample
 from .model import _check_streams, _draw_blocks, _is_int
 from .oracle import OracleParams, _rescale
-from .procedures import ThresholdProcedure, _apply_procedure_rows, _group_counts
+from .procedures import FixedThreshold, ThresholdProcedure, _apply_procedure_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -150,10 +148,10 @@ class ExperimentSummary:
 
 def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
     """One-sample KS distance of `values` from N(0, sd**2), fully specified."""
-    x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
-    if n == 0:
-        raise ParameterError("values must be a nonempty sample")
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size == 0 or np.isnan(x).any():
+        raise ParameterError("values must be a nonempty 1-d sample without NaN")
+    x, n = np.sort(x), x.size
     if not (sd > 0.0 and math.isfinite(sd)):
         raise ParameterError(f"sd must be positive and finite, got {sd!r}")
     cdf = special.ndtr(x / sd)
@@ -354,10 +352,10 @@ def ecdf_covariance_probe(
     m0 = params.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
-    bands = list(zip(*_x_band(grid)))  # (lo, hi) of each cut, for every block
+    cuts = [FixedThreshold(g) for g in grid]
     for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
-        for j, (g, band) in enumerate(zip(grid, bands)):
-            counts0[lo:hi, j], counts1[lo:hi, j] = _group_counts(x, m0, g, band)
+        for j, cut in enumerate(cuts):
+            counts0[lo:hi, j], counts1[lo:hi, j] = cut.counts(x, m0)
     root_m = math.sqrt(params.m)
     dev0 = root_m * (counts0 / m0 - grid)
     dev1 = root_m * (counts1 / (params.m - m0) - g1)

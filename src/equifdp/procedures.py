@@ -13,21 +13,20 @@ almost-sure limit of the threshold under a mixture c.d.f., ``t_dot(cdf,
 t_star)`` the weight of its threshold functional's derivative (a point mass
 at t*, or None when the threshold does not depend on the data), and
 ``to_dict()`` its JSON view.  BH rejects the k largest statistics of a row;
-``_group_counts``, the count of each group's p <= cut, is the count of the
-fixed threshold and of the e.c.d.f. covariance probe.
+a fixed threshold counts each group's p <= t (``counts``), which is also the
+count of the e.c.d.f. covariance probe.
 
 Every decision p <= g is made on the statistics, as x >= q(g) (q the
 upper-tail quantile), and a p-value is computed only for a statistic inside
 the rounding band of a cut (``gaussian._x_band``); the decisions are those of
-the p-values ``gaussian._p_values(x)``, bit for bit.  The code that knows a
-cut computes its band once: a fixed threshold when it is built, the probe
-for its whole grid, BH for its m lines (kept per (alpha, m), since only a
-block's width gives m).
+the p-values ``gaussian._p_values(x)``, bit for bit.  Each procedure holds
+its own bands, outside its value and views: a fixed threshold computes its
+cut's band when it is built, and BH the bands of its m lines the first time
+it tallies a block of width m.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -46,6 +45,9 @@ class BH:
     """Benjamini-Hochberg step-up procedure at level alpha."""
 
     alpha: float
+    # width m -> the bands (lo, hi) of the lines, in the order of ascending
+    # statistics; two threads may both fill a new width, with equal values
+    _bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -67,7 +69,9 @@ class BH:
         through the exact step-up on its p-values and rejects p <= p_(k).
         """
         m = x.shape[1]
-        lo, hi = _line_band(self.alpha, m)
+        if m not in self._bands:
+            self._bands[m] = _x_band(self._lines(m)[::-1])
+        lo, hi = self._bands[m]
         xs = np.sort(x, axis=1)  # column j: the (m - j)-th largest, against line m - j
         k = _last_line(xs >= hi)
         # the k-th largest statistic; k = 0 rejects nothing
@@ -84,7 +88,7 @@ class BH:
         """(k, p_(k)) per row of ascending p-values, k exact as in
         :meth:`tally`; p_(k) is 0.0 where k = 0."""
         m = p.shape[1]
-        lines = self.alpha * np.arange(1, m + 1) / m
+        lines = self._lines(m)
         # a float line lies within 3 ulp of i*alpha/m, inside a relative 2**-50:
         # only an order statistic that close needs an exact comparison
         slack = lines * 2.0**-50
@@ -97,6 +101,10 @@ class BH:
                 k[r] -= 1
             cut[r] = p[r, k[r] - 1]
         return k, np.where(k > 0, cut, 0.0)
+
+    def _lines(self, m: int) -> np.ndarray:
+        """The lines alpha * k / m for k = 1, ..., m."""
+        return self.alpha * np.arange(1, m + 1) / m
 
     def t_star(self, cdf) -> float:
         """The fixed point of G(t) = t / alpha."""
@@ -135,8 +143,12 @@ class FixedThreshold:
 
     def tally(self, x: np.ndarray, m0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, rejected, false rejections) per row: every p <= t is rejected."""
-        false_rej, true_rej = _group_counts(x, m0, self.t, self._band)
+        false_rej, true_rej = self.counts(x, m0)
         return np.full(x.shape[0], self.t), false_rej + true_rej, false_rej
+
+    def counts(self, x: np.ndarray, m0: int) -> tuple[np.ndarray, np.ndarray]:
+        """(#{p <= t} over the first `m0` columns, over the rest) per row."""
+        return _group_counts(x, m0, self.t, self._band)
 
     def t_star(self, cdf) -> float:
         return self.t
@@ -150,17 +162,6 @@ class FixedThreshold:
 
 
 ThresholdProcedure = Union[BH, FixedThreshold]
-
-
-@functools.lru_cache(maxsize=4)
-def _line_band(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bands (lo, hi) of BH's lines alpha * k / m for k = m, ..., 1, in
-    the order of ascending statistics; computed once per (alpha, m) and
-    kept for the last few, such as the m of a rate study."""
-    bands = _x_band(alpha * np.arange(m, 0, -1) / m)
-    for band in bands:
-        band.setflags(write=False)
-    return bands
 
 
 def _last_line(hits: np.ndarray) -> np.ndarray:

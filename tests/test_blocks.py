@@ -9,8 +9,11 @@ B = 1 (trailing blocks) and B > 1, R not a multiple of B, and any worker
 count.
 """
 
+import dataclasses
 import hashlib
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -248,7 +251,6 @@ def test_oracle_bh_run_computes_each_band_once(monkeypatch):
     # BH's tally rejects the k largest statistics: the bands of its m lines,
     # computed once, decide the run, and no row gets a band of its own
     seen = _count_x_band(monkeypatch, equifdp.procedures)
-    equifdp.procedures._line_band.cache_clear()
     config = ExperimentConfig(
         params=OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3)),
         procedure=BH(0.2),
@@ -262,11 +264,55 @@ def test_oracle_bh_run_computes_each_band_once(monkeypatch):
 def test_probe_computes_each_band_once(monkeypatch):
     # 65 cuts over 3 blocks of m = 1000 (16, 16 and 8 rows): each cut's band
     # is computed once for the probe, not once per block
-    seen = _count_x_band(monkeypatch, equifdp.experiment, equifdp.procedures)
+    seen = _count_x_band(monkeypatch, equifdp.procedures)
     params = ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.1)
     assert equifdp.model._BLOCK_ELEMS // params.m == 16
     ecdf_covariance_probe(params, np.linspace(0.005, 0.995, 65), 40, seed=SEED)
     assert sum(seen) == 65
+
+
+def test_bh_keeps_the_bands_of_its_own_lines(monkeypatch):
+    # a BH computes the bands of a width once, over any number of runs; an
+    # equal BH computes its own
+    seen = _count_x_band(monkeypatch, equifdp.procedures)
+    params = ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3)
+    first, second = BH(0.2), BH(0.2)
+    for procedure in (first, first):
+        run(ExperimentConfig(params=params, procedure=procedure, replicates=20, seed=SEED))
+    assert sum(seen) == 1000
+    run(ExperimentConfig(params=params, procedure=second, replicates=20, seed=SEED))
+    assert sum(seen) == 2000
+    # the bands are no part of the procedure's value or views
+    assert first == second == BH(0.2) != BH(0.1)
+    assert hash(first) == hash(BH(0.2))
+    assert repr(first) == "BH(alpha=0.2)"
+    assert first.to_dict() == {"kind": "bh", "alpha": 0.2}
+
+
+def test_bh_bands_filled_by_racing_workers():
+    # 8 threads share one fresh BH and switch as often as the interpreter
+    # lets them, for about a second: several may compute the bands of the
+    # new width on their first block, with equal values, so the run is that
+    # of one worker and the BH keeps the one width
+    config = ExperimentConfig(
+        params=ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3), procedure=BH(0.2),
+        replicates=256, seed=SEED,
+    )
+    want = run(config)
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 1.0
+    try:
+        sys.setswitchinterval(1e-6)
+        while True:
+            procedure = BH(0.2)
+            got = run(dataclasses.replace(config, procedure=procedure), workers=8)
+            for name in ("thresholds", "rejected", "false_rejections", "fdp"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert list(procedure._bands) == [1000]
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_fixed_threshold_computes_its_band_when_built(monkeypatch):

@@ -201,6 +201,27 @@ class TestStatisticalCalibration:
         assert s.ks_statistic <= 1.63 / np.sqrt(R)
         assert s.variance_ratio == pytest.approx(1.0, abs=0.15)
 
+    def test_case_ii_variance_at_gamma_0_75_is_the_finite_m_one(self):
+        # at rho_m = m**-0.75 the limit c**2 / a_m**2 drops the e.c.d.f. term
+        # sigma2 / m of the first-order variance v_m = sigma2 / m + rho_m c**2,
+        # which at m = 4000 is still 0.83 times the other: a correct run's
+        # var(FDP) matches v_m, and v_m is 1.83 times the limit, far outside
+        # the variance band of --check
+        m, R = 4000, 2000
+        regime = PowerLaw(1.0, 0.75)
+        cfg = ExperimentConfig(
+            params=ModelParams(m=m, pi0=0.5, mu=2.0, rho=regime.rho_at(m)),
+            procedure=BH(0.2),
+            rho_seq=regime,
+            replicates=R,
+            seed=20260808,
+        )
+        s = run(cfg, workers=2)
+        v_m = s.law.sigma2 / m + regime.rho_at(m) * s.law.c_coef**2
+        assert abs(s.var_fdp / v_m - 1.0) <= 4.0 * math.sqrt(2.0 / (R - 1))
+        # the ratio is 1 + (sigma2 / c**2) * m**(gamma - 1)
+        assert s.a_m**2 * v_m / s.law.variance == pytest.approx(1.83, abs=0.005)
+
 
 class TestKsStatistic:
     def test_single_point(self):
@@ -221,6 +242,8 @@ class TestKsStatistic:
             ([0.0], -1.0, "sd must be positive and finite"),
             ([0.0], math.nan, "sd must be positive and finite"),
             ([0.0], math.inf, "sd must be positive and finite"),
+            ([math.nan, 1.0], 1.0, "without NaN"),
+            ([[0.0, 1.0]], 1.0, "1-d"),
         ],
     )
     def test_invalid_input_rejected(self, values, sd, message):
