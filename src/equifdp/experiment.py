@@ -16,11 +16,12 @@ regime is declared or when the declared regime has no normal limit (fixed
 rho without the oracle transform).
 
 Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
-(B, m) array is drawn (row i from its own stream), rescaled in oracle mode,
-and handed to the procedure, which tallies each row on the statistics.  The
-run and the e.c.d.f. covariance probe share the draw, model._draw_blocks;
-the probe counts each grid point with a FixedThreshold, which holds its
-cut's rounding band.
+(B, m) array is drawn (row i from its own stream), put through the params'
+transform (the oracle rescaling, or the identity) and handed to the
+procedure, which tallies each row on the statistics.  The run and the
+e.c.d.f. covariance probe share the draw, model._draw_blocks; the probe
+counts each grid point with a FixedThreshold, which holds its cut's
+rounding band.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -41,7 +42,7 @@ from .asymptotics import AsymptoticLaw, asymptotic_law
 from .errors import ParameterError, RegimeError
 from .model import ModelParams, RhoSequence, RngStream, Sample
 from .model import _check_streams, _draw_blocks, _is_int
-from .oracle import OracleParams, _rescale
+from .oracle import OracleParams
 from .procedures import FixedThreshold, ThresholdProcedure, _apply_procedure_rows
 
 __all__ = [
@@ -70,8 +71,8 @@ _MIN_DIAGNOSTIC_R = 100
 class ExperimentConfig:
     """Everything needed to reproduce a run.
 
-    params      -- ModelParams, or OracleParams to apply the rescaling before
-                   thresholding
+    params      -- ModelParams, or OracleParams, whose transform rescales the
+                   statistics before thresholding and whose rho_seq is the regime
     procedure   -- BH(alpha) or FixedThreshold(t)
     rho_seq     -- declared correlation regime for law selection; None means
                    "no theory requested".  Never inferred from data: the
@@ -81,7 +82,7 @@ class ExperimentConfig:
     m_grid      -- optional increasing m values for rate studies
     """
 
-    params: Union[ModelParams, OracleParams]
+    params: ModelParams | OracleParams
     procedure: ThresholdProcedure
     rho_seq: Optional[RhoSequence] = None
     replicates: int = 1000
@@ -93,8 +94,8 @@ class ExperimentConfig:
             raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "seed", RngStream(self.seed).seed)  # RngStream checks it
-        base = self.base_params
-        if isinstance(self.params, OracleParams) and self.rho_seq is not None:
+        base = self.params.base
+        if self.params.rho_seq is not None and self.rho_seq is not None:
             raise ParameterError("oracle mode fixes the regime; leave rho_seq unset")
         if self.rho_seq is not None:
             declared = self.rho_seq.rho_at(base.m)
@@ -110,14 +111,6 @@ class ExperimentConfig:
             for m in grid:
                 _config_at_m(self, m)  # the model checks every point before any runs
             object.__setattr__(self, "m_grid", tuple(map(int, grid)))
-
-    @property
-    def base_params(self) -> ModelParams:
-        return self.params.base if isinstance(self.params, OracleParams) else self.params
-
-    @property
-    def oracle_mode(self) -> bool:
-        return isinstance(self.params, OracleParams)
 
 
 @dataclass(frozen=True)
@@ -163,11 +156,9 @@ def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
     """Fill the per-replicate arrays `out` (threshold, rejected,
     false_rejections, fdp), row r from stream first_stream + r, block by
     block."""
-    base = config.base_params
-    for lo, hi, x in _draw_blocks(base, config.seed, first_stream, out[0].shape[0]):
-        if config.oracle_mode:
-            x = _rescale(x, config.params)
-        rows = _apply_procedure_rows(config.procedure, x, base.m0)
+    params = config.params
+    for lo, hi, x in _draw_blocks(params.base, config.seed, first_stream, out[0].shape[0]):
+        rows = _apply_procedure_rows(config.procedure, params.transform(x), params.base.m0)
         for dst, src in zip(out, rows):
             dst[lo:hi] = src
 
@@ -177,17 +168,17 @@ def _law_for(
 ) -> tuple[Optional[AsymptoticLaw], Optional[float], list[str]]:
     """(law, a_m, warnings) of a run; law and a_m are None together.
 
-    The mixture is the params' own; oracle mode also takes its one effective
-    regime, used for both the law and a_m, from the OracleParams.
+    The mixture is the params' own, and the regime, used for both the law and
+    a_m, is the declared one or else the params' own (OracleParams' theta = -1).
     """
-    regime = config.params.rho_seq if config.oracle_mode else config.rho_seq
+    regime = config.rho_seq or config.params.rho_seq
     if regime is None:
         return None, None, ["no correlation regime declared; theory fields absent"]
     try:
         law = asymptotic_law(config.params.cdf, config.procedure, regime)
     except RegimeError as exc:
         return None, None, [f"regime warning: {exc}"]
-    return law, regime.a_m(config.base_params.m), []
+    return law, regime.a_m(config.params.base.m), []
 
 
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
@@ -240,7 +231,7 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
 
     return ExperimentSummary(
         config=config,
-        m=config.base_params.m,
+        m=config.params.base.m,
         fdp=fdp,
         thresholds=thresholds,
         rejected=rejected,
@@ -285,12 +276,9 @@ class RateStudyResult:
 
 
 def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:
-    base = config.base_params
-    rho = base.rho if config.rho_seq is None else config.rho_seq.rho_at(m)
-    params = ModelParams(m=m, pi0=base.pi0, mu=base.mu, rho=rho)
-    if config.oracle_mode:
-        params = OracleParams(params)
-    return replace(config, params=params, m_grid=None)
+    params = config.params
+    rho = params.base.rho if config.rho_seq is None else config.rho_seq.rho_at(m)
+    return replace(config, params=params.at(m, rho), m_grid=None)
 
 
 def rate_study(config: ExperimentConfig, workers: int = 1) -> RateStudyResult:
@@ -402,13 +390,13 @@ def check_tolerances(summary: ExperimentSummary) -> list[str]:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    base = config.base_params
+    base = config.params.base
     return {
         "m": base.m,
         "pi0": base.pi0,
         "mu": base.mu,
         "rho": base.rho,
-        "oracle": config.oracle_mode,
+        "oracle": config.params is not base,  # an OracleParams wraps its base
         "procedure": config.procedure.to_dict(),
         "rho_seq": None if config.rho_seq is None else config.rho_seq.to_dict(),
         "replicates": config.replicates,

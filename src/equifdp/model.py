@@ -58,6 +58,8 @@ class ModelParams:
     mu   -- positive mean shift under the alternative
     rho  -- equi-correlation, in [-1/(m-1), 1]
     cdf  -- the p-value mixture c.d.f. MixtureCdf(pi0, mu), which checks both
+    As OracleParams does, it has a base (itself), a rho_seq (None, no regime
+    of its own), a transform (the identity) and a rebuild ``at(m, rho)``.
     """
 
     m: int
@@ -65,6 +67,7 @@ class ModelParams:
     mu: float
     rho: float
     cdf: MixtureCdf = field(init=False, repr=False, compare=False)
+    rho_seq = None
 
     def __post_init__(self):
         if not _is_int(self.m) or self.m < 2:
@@ -89,6 +92,16 @@ class ModelParams:
     def m0(self) -> int:
         """Number of true nulls, floor(m * pi0)."""
         return int(math.floor(self.m * self.pi0))
+
+    @property
+    def base(self) -> ModelParams:
+        return self
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def at(self, m: int, rho: float) -> ModelParams:
+        return ModelParams(m=m, pi0=self.pi0, mu=self.mu, rho=rho)
 
 
 @dataclass(frozen=True)

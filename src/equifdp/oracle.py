@@ -7,14 +7,14 @@ of the statistics removes that factor:
 
     x_tilde_i = sqrt(m / ((m-1) * (1 - rho))) * (x_i - mean(x) + (1-pi0)*mu)
 
-The transformed vector is again exchangeable Gaussian with unit variances,
-equi-correlation -1/(m-1), and mean shift scale*mu on the alternatives, so
-the whole limit machinery applies with theta = -1 and the inflated shift
-mu_tilde = mu / sqrt(1 - rho); the sqrt(m) convergence rate is restored.
-:class:`OracleParams` carries that mixture (``cdf``) and effective regime
-(``rho_seq``); the law uses the limiting shift mu_tilde even though the
-exact per-m rescaling carries an extra sqrt(m/(m-1)) factor that vanishes
-in the limit.
+The transformed vector is again exchangeable Gaussian with unit variances and
+equi-correlation -1/(m-1); the alternatives' mean exceeds the nulls' by
+scale*mu, and the nulls sit at delta = scale*mu*(floor(m*pi0)/m - pi0), 0 only
+when m*pi0 is an integer.  The limit machinery applies with theta = -1 and the
+inflated shift mu_tilde = mu / sqrt(1 - rho), and the sqrt(m) rate is restored.
+:class:`OracleParams` carries that mixture, regime and rescaling; the law
+ignores the extra sqrt(m/(m-1)) factor of the exact rescaling and the offset
+delta, both of which vanish in the limit.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ __all__ = ["OracleParams"]
 
 @dataclass(frozen=True)
 class OracleParams:
-    """Known model parameters enabling the rescaling; requires rho in (0, 1).
-
-    ``rho_seq`` is the effective regime of the rescaled statistics, theta = -1.
-    """
+    """Known model parameters enabling the rescaling; requires rho in (0, 1)."""
 
     base: ModelParams
-    rho_seq = ThetaOverM(-1.0)
+    rho_seq = ThetaOverM(-1.0)  # the effective regime of the rescaled statistics
 
     def __post_init__(self):
         if not (0.0 < self.base.rho < 1.0):
@@ -62,13 +59,14 @@ class OracleParams:
         m = self.base.m
         return float(np.sqrt(m / ((m - 1) * (1.0 - self.base.rho))))
 
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """The oracle rescaling of statistics drawn from the base model, applied
+        along the last axis, so a (B, m) block rescales row by row.  The mean
+        is delta + scale*mu on the alternatives and, on the nulls, delta =
+        scale*mu*(floor(m*pi0)/m - pi0) in (-scale*mu/m, 0]: null p-values are
+        exactly uniform only when m*pi0 is an integer."""
+        base = self.base
+        return self.scale * (x - x.mean(axis=-1, keepdims=True) + (1.0 - base.pi0) * base.mu)
 
-def _rescale(x: np.ndarray, params: OracleParams) -> np.ndarray:
-    """The oracle rescaling of statistics drawn from the base model, applied
-    along the last axis, so a (B, m) block rescales row by row.
-
-    The rescaled mean is scale * mu on alternatives and 0 on nulls, so
-    rescaled p-values are exactly uniform under the null.
-    """
-    base = params.base
-    return params.scale * (x - x.mean(axis=-1, keepdims=True) + (1.0 - base.pi0) * base.mu)
+    def at(self, m: int, rho: float) -> OracleParams:
+        return OracleParams(self.base.at(m, rho))

@@ -211,7 +211,7 @@ def test_c06_case_ii_clt_and_rate_separation():
     c_coef = s_large.law.c_coef
     refs, d, slope_gap, lines = {}, {}, {}, []
     for summary in (s_small, s_large):
-        m, rho = summary.m, summary.config.base_params.rho
+        m, rho = summary.m, summary.config.params.base.rho
         refs[m] = case_ii_reference_cdf(PI0, MU, ALPHA, m, rho, sigma2)
         # distance of the finite-m law from its limit N(0, c^2)
         d[m] = float(np.max(np.abs(refs[m](grid) - limit)))

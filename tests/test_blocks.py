@@ -54,7 +54,7 @@ R_AT = {2: 40, 3: 40, 1000: 19, 5001: 4}
 
 def naive_replicate(config, stream_id):
     """(threshold, rejected, false_rejections, fdp) of one replicate."""
-    base = config.base_params
+    base = config.params.base
     m, rho, mu, pi0 = base.m, base.rho, base.mu, base.pi0
     # numpy's own seeding, not the package's port of it
     seeds = np.random.SeedSequence(entropy=config.seed, spawn_key=(stream_id,))
@@ -65,7 +65,7 @@ def naive_replicate(config, stream_id):
     common = math.sqrt(max(0.0, (1.0 + (m - 1) * rho) / m))
     x = math.sqrt(1.0 - rho) * (xi - xi.mean()) + common * u
     x[tau] += mu
-    if config.oracle_mode:
+    if isinstance(config.params, OracleParams):
         x = math.sqrt(m / ((m - 1) * (1.0 - rho))) * (x - x.mean() + (1.0 - pi0) * mu)
     p = p_values(x)
     if isinstance(config.procedure, BH):

@@ -290,6 +290,29 @@ class TestRateStudy:
         with pytest.raises(ParameterError):
             rate_study(SMALL)
 
+    def test_oracle_rows_are_oracle_runs(self):
+        # row j of an oracle study is the oracle run at m_j from stream j*R,
+        # with the theta = -1 law of the rescaled statistics at rate sqrt(m_j)
+        R, grid = 30, (100, 200, 400)
+
+        def oracle_config(m, m_grid=None):
+            return ExperimentConfig(
+                params=OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3)),
+                procedure=BH(0.2),
+                replicates=R,
+                seed=29,
+                m_grid=m_grid,
+            )
+
+        study = rate_study(oracle_config(grid[0], grid))
+        for j, (m, row) in enumerate(zip(grid, study.rows)):
+            want = run(oracle_config(m), stream_offset=j * R)
+            assert row.config == want.config
+            for name in ("fdp", "thresholds", "rejected", "false_rejections"):
+                np.testing.assert_array_equal(getattr(row, name), getattr(want, name))
+            assert row.law == want.law and row.law.theta == -1.0
+            assert row.a_m == math.sqrt(m)
+
 
 class TestCovarianceProbe:
     def test_probe_matches_assembled_kernels_at_independence(self):

@@ -58,6 +58,12 @@ class TestModelParams:
         p = ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.1)
         assert p.m0 == 50
         assert p.cdf == MixtureCdf(0.5, 2.0)
+        # the surface it shares with OracleParams: its own base, no regime of
+        # its own, the identity transform, and a rebuild at another m
+        assert p.base is p and p.rho_seq is None
+        x = np.linspace(-1.0, 3.0, 100)
+        assert p.transform(x) is x
+        assert p.at(300, 0.05) == ModelParams(m=300, pi0=0.5, mu=2.0, rho=0.05)
 
     @pytest.mark.parametrize(
         "kwargs",

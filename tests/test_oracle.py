@@ -20,7 +20,6 @@ from equifdp import (
     sample,
 )
 from equifdp.model import _draw_blocks
-from equifdp.oracle import _rescale
 
 # pinned with 60-digit bisection: fixed point of the mu/sqrt(0.7) mixture
 T_STAR_RHO_REF = 0.0956375531814413  # pi0=0.5, mu=2, rho=0.3, alpha=0.2
@@ -42,6 +41,9 @@ class TestOracleParams:
         assert params.rho_seq == ThetaOverM(-1.0)
         assert params.scale > 1.0
         assert params.scale == pytest.approx(np.sqrt(5000 / (4999 * 0.7)), rel=1e-15)
+        assert params.base is BASE
+        rebuilt = OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.5))
+        assert params.at(1000, 0.5) == rebuilt
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1])
     def test_requires_rho_in_open_unit_interval(self, rho):
@@ -58,17 +60,36 @@ class TestTransform:
         params = OracleParams(ModelParams(m=200, pi0=0.5, mu=2.0, rho=0.3))
         s = sample(params.base, RngStream(1, 0))
         expected = params.scale * (s.x - s.x.mean() + 0.5 * 2.0)
-        np.testing.assert_allclose(_rescale(s.x, params), expected, rtol=1e-15)
+        np.testing.assert_allclose(params.transform(s.x), expected, rtol=1e-15)
         block = draw_block(params.base, 1, 3)
-        rows = [_rescale(sample(params.base, RngStream(1, r)).x, params) for r in range(3)]
-        np.testing.assert_array_equal(_rescale(block, params), rows)
+        rows = [params.transform(sample(params.base, RngStream(1, r)).x) for r in range(3)]
+        np.testing.assert_array_equal(params.transform(block), rows)
+
+    @pytest.mark.parametrize(
+        "m,pi0,whole", [(999, 0.5, False), (1001, 0.7, False), (1000, 0.5, True)]
+    )
+    def test_noiseless_means_carry_the_offset_delta(self, m, pi0, whole):
+        # the mean row, 0 on the nulls and mu on the alternatives, rescales to
+        # delta = scale*mu*(floor(m*pi0)/m - pi0) on every null and to
+        # delta + scale*mu on every alternative; delta = 0 only when m*pi0 is
+        # an integer, and |delta| < scale*mu/m
+        params = OracleParams(ModelParams(m=m, pi0=pi0, mu=2.0, rho=0.3))
+        m0, shift = params.base.m0, params.scale * 2.0
+        out = params.transform(np.where(np.arange(m) < m0, 0.0, 2.0))
+        delta = shift * (m0 / m - pi0)
+        np.testing.assert_allclose(out[:m0], delta, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(out[m0:], delta + shift, rtol=0.0, atol=1e-12)
+        assert abs(delta) < shift / m
+        assert (delta == 0.0) == whole
+        if not whole:
+            assert abs(delta) > 1e-4  # far above the tolerance: nulls are not centred
 
     def test_empirical_equicorrelation(self):
         # transformed vector has equi-correlation -1/(m-1), checked over
         # 2e4 replicates at m=50 within 3 MC standard errors
         m, R = 50, 20_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
-        xs = _rescale(draw_block(params.base, 13, R), params)
+        xs = params.transform(draw_block(params.base, 13, R))
         centered = xs - xs.mean(axis=0)
         target = -1.0 / (m - 1)
         se = 3.0 * np.sqrt((1.0 + target**2) / R)
@@ -82,7 +103,7 @@ class TestTransform:
     def test_alternative_mean_is_scaled_shift(self):
         m, R = 50, 20_000
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
-        col = _rescale(draw_block(params.base, 14, R), params)[:, 40]
+        col = params.transform(draw_block(params.base, 14, R))[:, 40]
         assert abs(col.mean() - params.scale * 2.0) <= 3.0 / np.sqrt(R)
 
     def test_near_zero_rho_transform_is_nearly_identity(self):
@@ -90,7 +111,7 @@ class TestTransform:
         # change stays below 0.05 with overwhelming probability
         params = OracleParams(ModelParams(m=100_000, pi0=0.5, mu=2.0, rho=1e-6))
         s = sample(params.base, RngStream(15, 0))
-        assert np.max(np.abs(_rescale(s.x, params) - s.x)) <= 0.05
+        assert np.max(np.abs(params.transform(s.x) - s.x)) <= 0.05
 
     def test_distributionally_equivalent_to_negative_boundary_model(self):
         # rescaled draws of the base model must match direct samples of the
@@ -102,7 +123,7 @@ class TestTransform:
         direct_params = ModelParams(
             m=m, pi0=0.5, mu=params.scale * 2.0, rho=-1.0 / (m - 1)
         )
-        xt = _rescale(draw_block(params.base, 16, R), params)
+        xt = params.transform(draw_block(params.base, 16, R))
         xd = draw_block(direct_params, 17, R)
         se_mean = 4.0 * np.sqrt(2.0) / np.sqrt(R)
         assert abs(xt[:, :10].mean() - xd[:, :10].mean()) <= se_mean / np.sqrt(10)
