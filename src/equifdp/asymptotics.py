@@ -176,11 +176,12 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     h(t) = G(t) - t/alpha is positive near 0 (the alternative density
     diverges there, so t / G(t) -> 0) and negative near 1, and G is concave,
     so the crossing is unique.  For small mu and alpha the crossing can sit
-    extremely far left (down to ~1e-44 on ordinary parameter grids), so the
-    left bracket endpoint slides down geometrically until the sign is
-    positive before Brent's method runs at full relative precision.  Where
-    t* lies so far below 1e-14 that the method runs out of steps, it runs
-    again on the last slide step's bracket, a factor of 1e8 wide.
+    extremely far left, so the left bracket endpoint slides down
+    geometrically until the sign is positive before Brent's method runs at
+    full relative precision.  t* is solved down to about 1e-271 (9.3e-271 on
+    the small-mu grid); below 1e-290 FixedPointUnderflowError is raised.
+    Where t* lies so far below 1e-14 that the method runs out of steps, it
+    runs again on the last slide step's bracket, a factor of 1e8 wide.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats: it gives scipy's roots bit for bit, keeps its failures

@@ -295,9 +295,10 @@ def _cmd_run(args) -> int:
         write_summary_json(summary, outdir / "summary.json")
         violations = check_tolerances(summary)
         failed, ratio = bool(violations), summary.variance_ratio
+        cause = summary.warnings[-1] if ratio is None and summary.law is not None else "no theory"
         print(
             f"wrote {outdir}/summary.json: mean_fdp={summary.mean_fdp:.6f}"
-            + (f" variance_ratio={ratio:.4f}" if ratio is not None else " (no theory)")
+            + (f" variance_ratio={ratio:.4f}" if ratio is not None else f" ({cause})")
             + (f" violations={violations}" if violations else "")
         )
     else:

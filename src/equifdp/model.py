@@ -18,7 +18,6 @@ where the common-factor coefficient vanishes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -57,7 +56,8 @@ class ModelParams:
             and both groups must be nonempty
     mu   -- positive mean shift under the alternative
     rho  -- equi-correlation, in [-1/(m-1), 1]
-    cdf  -- the p-value mixture c.d.f. MixtureCdf(pi0, mu), which checks both
+    cdf  -- the p-value mixture c.d.f. MixtureCdf(pi0, mu), which checks pi0 and mu
+
     As OracleParams does, it has a base (itself), a rho_seq (None, no regime
     of its own), a transform (the identity) and a rebuild ``at(m, rho)``.
     """
@@ -111,8 +111,9 @@ class RngStream:
     Identical pairs reproduce identical samples bit for bit on every platform;
     distinct stream_ids give statistically independent streams.  Replicate r
     of an experiment conventionally uses stream_id = r.  The stream is numpy's
-    PCG64 seeded by ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``;
-    the package computes that state itself (see :func:`_stream_states`).
+    PCG64 seeded by ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``,
+    which :meth:`generator` builds; the kernel computes the same states of
+    many ids in bulk (see :func:`_stream_states`).
     """
 
     seed: int
@@ -126,7 +127,8 @@ class RngStream:
             object.__setattr__(self, name, int(v))
 
     def generator(self) -> np.random.Generator:
-        return _seeded(_generator(), _stream_states(self.seed, np.uint64([self.stream_id]))[0])
+        seeds = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.PCG64(seeds))
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,10 @@ RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]
 # --- stream seeding ----------------------------------------------------------
 #
 # Stream (seed, id) is numpy's PCG64 seeded by
-# SeedSequence(entropy=seed, spawn_key=(id,)).  The package computes that
-# state itself: SeedSequence's hash pool and generate_state, then PCG64's
-# srandom.  The mixing uses plain operators masked to 32 bits, so the same
-# code hashes the seed's Python int words and a uint64 array of ids.
+# SeedSequence(entropy=seed, spawn_key=(id,)).  Numpy builds one stream, and
+# the seed's hash pool for all; the kernel computes the rest for many ids in
+# bulk: the spawn-key hashes, generate_state, then PCG64's srandom, with
+# plain operators masked to 32 bits on uint64 arrays of ids.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -292,21 +294,6 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[int, ...]:
-    """SeedSequence's pool once the seed's words, zero-padded to the pool
-    size 4, are hashed in and cross-mixed; it is the same for every id, so
-    it is kept for the last few seeds."""
-    pool = [_hash(w, _HASH_A[k]) for k, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k]))
-                k += 1
-    return tuple(pool)
-
-
 def _srandom(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> tuple[int, int]:
     """PCG64's srandom: state 0, inc = (seq << 1) | 1, step, add the initial
     state, step."""
@@ -319,7 +306,9 @@ def _stream_states(seed: int, ids: np.ndarray) -> list:
     ``PCG64(SeedSequence(entropy=seed, spawn_key=(id,)))``, for a uint64
     array of ids.  Seed and ids must lie in [0, 2**64).
     """
-    pool = _mix(np.uint64(_seed_pool(int(seed)))[:, None], _hash(ids & _MASK32, _KEY_HASHES_1))
+    # the keyed pool before its key: the seed's words, 0-padded to 4, hashed and mixed
+    seed_pool = np.random.SeedSequence(int(seed)).pool.astype(np.uint64)[:, None]
+    pool = _mix(seed_pool, _hash(ids & _MASK32, _KEY_HASHES_1))
     wide = ids >> 32  # an id of 2**32 or more has a second key word
     if wide.any():
         pool = np.where(wide > 0, _mix(pool, _hash(wide, _KEY_HASHES_2)), pool)
@@ -329,27 +318,12 @@ def _stream_states(seed: int, ids: np.ndarray) -> list:
 
 
 class _Unseeded(ISeedSequence):
-    """Hands PCG64 zero words, so a generator is built without numpy's
-    seeding; its state is set from :func:`_stream_states` before use."""
+    """Hands PCG64 zero words, so the kernel's generator is built without
+    numpy's seeding, which would cost each `sample()` about 10 us; each row
+    sets its state from :func:`_stream_states`."""
 
     def generate_state(self, n_words, dtype=np.uint32):
         return np.zeros(n_words, dtype=dtype)
-
-
-def _generator() -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_Unseeded()))
-
-
-def _seeded(rng: np.random.Generator, state_inc: tuple[int, int]) -> np.random.Generator:
-    """`rng` moved to the start of the stream with PCG64 state `state_inc`."""
-    state, inc = state_inc
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
 
 
 def _check_streams(seed: int, first: int, count: int) -> None:
@@ -382,7 +356,9 @@ def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
     block it is drawn in.
     """
     m, rho, mu, m0 = params.m, params.rho, params.mu, params.m0
-    rng, step = _generator(), max(1, _BLOCK_ELEMS // m)
+    bits, step = np.random.PCG64(_Unseeded()), max(1, _BLOCK_ELEMS // m)
+    rng = np.random.Generator(bits)
+    pcg64 = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # a row adds its state
     chunk = step * max(1, _STATE_CHUNK // step)
     scale = math.sqrt(1.0 - rho)
     # the common factor vanishes at the boundary rho = -1/(m-1), where the
@@ -394,8 +370,9 @@ def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
         for lo in range(c_lo, c_hi, step):
             hi = min(lo + step, c_hi)
             x, u = np.empty((hi - lo, m)), np.empty((hi - lo, 1))
-            for row, u_row, state_inc in zip(x, u, states[lo - c_lo : hi - c_lo]):
-                _seeded(rng, state_inc).standard_normal(out=row)
+            for row, u_row, (state, inc) in zip(x, u, states[lo - c_lo : hi - c_lo]):
+                bits.state = pcg64 | {"state": {"state": state, "inc": inc}}
+                rng.standard_normal(out=row)
                 u_row[0] = rng.standard_normal()
             x -= x.mean(axis=1, keepdims=True)
             x *= scale

@@ -222,6 +222,26 @@ class TestSimulate:
         assert summary["theory"] is None
         assert any("regime" in w for w in summary["warnings"])
 
+    @pytest.mark.parametrize(
+        "regime, note",
+        [
+            (["--rho", "0"], " (R=5 < 100: statistical diagnostics not reported)\n"),
+            (["--rho", "0.3"], " (no theory)\n"),
+        ],
+        ids=["few-replicates", "fixed-rho"],
+    )
+    def test_line_without_variance_ratio_names_its_cause(self, regime, note, tmp_path, capsys):
+        # a run with a theory but too few replicates for the ratio says so;
+        # only a run without a theory prints "(no theory)"
+        args = [
+            "simulate", "--m", "100", "--pi0", "0.5", "--mu", "2", "--alpha", "0.2",
+            "--replicates", "5", "--out", str(tmp_path / "few"), *regime,
+        ]
+        assert run_cli(args) == 0
+        line = capsys.readouterr().out
+        assert line.startswith(f"wrote {tmp_path / 'few'}/summary.json: mean_fdp=")
+        assert line.endswith(note) and "variance_ratio" not in line
+
     def test_theta_flag_selects_case_i(self, tmp_path):
         out = tmp_path / "theta"
         args = [

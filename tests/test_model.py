@@ -21,7 +21,7 @@ from equifdp import (
     sample,
     write_sample_csv,
 )
-from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _generator, _seeded, _stream_states
+from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _stream_states
 from equifdp.procedures import _apply_procedure_rows
 from oracles import P_MAX, GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
 
@@ -140,39 +140,35 @@ PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 20260808, 2**64 - 1]
 PORT_IDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 2, 2**64 - 1]
 
 
-def numpy_stream(seed, stream_id):
-    """The stream built by numpy's own SeedSequence and PCG64."""
+def numpy_state(seed, stream_id):
+    """PCG64 (state, inc) of the stream built by numpy's own SeedSequence."""
     seeds = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
-    return np.random.Generator(np.random.PCG64(seeds))
+    state = np.random.PCG64(seeds).state["state"]
+    return state["state"], state["inc"]
 
 
 class TestSeedingPort:
     """_stream_states against the installed numpy: a drift guard for the
-    package's port of SeedSequence -> PCG64 seeding."""
+    kernel's port of SeedSequence -> PCG64 seeding."""
 
     @pytest.mark.parametrize("seed", PORT_SEEDS)
     @pytest.mark.parametrize("stream_id", PORT_IDS)
     def test_scalar_path_matches_numpy(self, seed, stream_id):
-        # RngStream.generator() runs the array path on one id
-        want = numpy_stream(seed, stream_id).standard_normal(9)
-        stream = RngStream(seed, stream_id).generator()
-        np.testing.assert_array_equal(stream.standard_normal(9), want)
+        # the one-id call that sample() makes
+        ids = np.uint64([stream_id])
+        assert _stream_states(seed, ids) == [numpy_state(seed, stream_id)]
 
     @pytest.mark.parametrize("seed", PORT_SEEDS)
     def test_array_path_matches_numpy(self, seed):
         # one call holds ids of one and of two 32-bit words, on both sides of 2**32
         ids = np.array([*range(2**32 - 3, 2**32 + 3), *PORT_IDS], dtype=np.uint64)
-        rng = _generator()
-        for stream_id, state in zip(ids.tolist(), _stream_states(seed, ids)):
-            want = numpy_stream(seed, stream_id).standard_normal(9)
-            np.testing.assert_array_equal(_seeded(rng, state).standard_normal(9), want)
+        assert _stream_states(seed, ids) == [numpy_state(seed, i) for i in ids.tolist()]
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))
     def test_state_matches_numpy(self, seed, stream_id):
-        state = numpy_stream(seed, stream_id).bit_generator.state["state"]
         ids = np.array([stream_id], dtype=np.uint64)
-        assert _stream_states(seed, ids) == [(state["state"], state["inc"])]
+        assert _stream_states(seed, ids) == [numpy_state(seed, stream_id)]
 
 
 class TestSampler:
@@ -211,14 +207,13 @@ class TestSampler:
         assume(1 <= math.floor(m * pi0) <= m - 1)
         params = ModelParams(m=m, pi0=pi0, mu=2.0, rho=1.0)
         x = two_blocks(params, seed)
-        # the states of all rows in one call, one generator moved to each
-        rng, u = _generator(), np.empty((x.shape[0], 1))
-        for u_row, state_inc in zip(u, _stream_states(seed, np.arange(u.size, dtype=np.uint64))):
-            _seeded(rng, state_inc).standard_normal(m)
+        # U of each row from numpy's own stream (seed, row), so the kernel's
+        # rows are checked draw by draw against numpy's seeding
+        u = np.empty((x.shape[0], 1))
+        for r, u_row in enumerate(u):
+            rng = RngStream(seed, r).generator()
+            rng.standard_normal(m)
             u_row[0] = rng.standard_normal()
-        last = RngStream(seed, u.size - 1).generator()
-        last.standard_normal(m)
-        assert last.standard_normal() == u[-1, 0]
         assert np.array_equal(x[:, : params.m0], np.repeat(u, params.m0, axis=1))
         assert np.array_equal(x[:, params.m0 :], np.repeat(u + params.mu, m - params.m0, axis=1))
 
