@@ -76,9 +76,11 @@ class MixtureCdf:
     def alt_cdf(self, t):
         """c.d.f. of a p-value under the alternative, P(Z >= q(t) - mu) with
         q the upper-tail quantile; >= t for all t.  Takes a float or a numpy
-        array.  ndtri maps 0 and 1 to -inf and inf, so the endpoints are fixed
-        points of the one formula and need no mask."""
-        if not np.all((t >= 0.0) & (t <= 1.0)):  # also rejects NaN
+        array.  A float is range-checked with two comparisons, an array with
+        numpy's reduction; both reject NaN.  ndtri maps 0 and 1 to -inf and
+        inf, so the endpoints are fixed points of the one formula and need no
+        mask."""
+        if not (0.0 <= t <= 1.0 if isinstance(t, float) else np.all((t >= 0.0) & (t <= 1.0))):
             raise ParameterError(f"t must lie in [0, 1], got {t!r}")
         out = 0.5 * special.erfc((-special.ndtri(t) - self.mu) / _SQRT2)
         return out if isinstance(out, np.ndarray) else float(out)
@@ -259,9 +261,17 @@ def fluctuation_weights(
     G and passes None: it adds no Tdot term, and q' (whose G**2 underflows
     for thresholds near 0) is not evaluated.  For BH the two parts of z1
     cancel exactly and z0 collapses to pi0*alpha/t*.
+
+    Raises :class:`ParameterError` if pi0 * t* is subnormal: the center
+    pi0*t*/G(t*) then loses digits or all of them, and G1(t*) may be 0.
     """
     if not (0.0 < t_star < 1.0):
         raise ParameterError(f"t_star must lie in (0, 1), got {t_star!r}")
+    if cdf.pi0 * t_star < _TINY:
+        raise ParameterError(
+            f"pi0 * t* underflows below the normal floats at t_star={t_star!r}, "
+            f"pi0={cdf.pi0!r}"
+        )
     q = cdf.fdp_limit(t_star)
     w = q * (1.0 - q)
     z0, z1 = w / t_star, -w / cdf.alt_cdf(t_star)
@@ -294,7 +304,7 @@ def variance_components(
     return c, null_term + alt_term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsymptoticLaw:
     """Limit law a_m * (FDP - center) -> N(0, variance).
 
@@ -380,6 +390,8 @@ def ecdf_limit_cov(cdf: MixtureCdf, theta: float, group: str, s: float, t: float
     """
     if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
         raise ParameterError(f"s, t must lie in (0, 1), got {(s, t)!r}")
+    if not (theta >= -1.0 and math.isfinite(theta)):
+        raise ParameterError(f"theta must be finite and >= -1, got {theta!r}")
     if group == "null":
         bridge, shift = (min(s, t) - s * t) / cdf.pi0, 0.0
     elif group == "alt":

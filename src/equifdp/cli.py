@@ -287,10 +287,12 @@ def _config_from(args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     """simulate, oracle and rate-study: one run, or one per m of the grid."""
     config = _config_from(args)
+    # runs before the outdir is made: a law the library rejects is a usage error and writes nothing
+    result = (run if config.m_grid is None else rate_study)(config, workers=args.workers)
     outdir = _outdir(args)
     _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
     if config.m_grid is None:
-        summary = run(config, workers=args.workers)
+        summary = result
         write_replicates_csv(summary, outdir / "replicates.csv")
         write_summary_json(summary, outdir / "summary.json")
         violations = check_tolerances(summary)
@@ -302,7 +304,6 @@ def _cmd_run(args) -> int:
             + (f" violations={violations}" if violations else "")
         )
     else:
-        result = rate_study(config, workers=args.workers)
         result.write_csv(outdir / "rate_study.csv")
         violations = {str(s.m): check_tolerances(s) for s in result.rows}
         _write_json(

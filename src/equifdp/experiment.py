@@ -195,6 +195,7 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
     R = config.replicates
     workers = min(workers, R)
     _check_streams(config.seed, stream_offset, R)
+    law, a_m, warnings = _law_for(config)  # a law the library rejects fails before any replicate
     out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
     thresholds, rejected, false_rej, fdp = out
 
@@ -207,8 +208,6 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
         edges = [R * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, edges[:-1], edges[1:]))
-
-    law, a_m, warnings = _law_for(config)
 
     mean_fdp = float(fdp.mean())
     var_fdp = float(fdp.var(ddof=1)) if R >= 2 else None

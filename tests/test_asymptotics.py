@@ -93,13 +93,35 @@ class TestMixtureCdf:
             MixtureCdf(0.5, 0.0)
 
     @pytest.mark.parametrize(
-        "t", [np.nan, np.inf, -np.inf, np.array([0.2, np.nan])], ids=["nan", "inf", "-inf", "array"]
+        "t",
+        [np.nan, np.inf, -np.inf, np.array([0.2, np.nan]), -1e-300, 1.0000000000000002,
+         np.float64(1.5)],
+        ids=["nan", "inf", "-inf", "array", "-1e-300", "1+ulp", "np.float64(1.5)"],
     )
     def test_non_finite_t_rejected(self, t):
         cdf = MixtureCdf(0.5, 2.0)
         for f in (cdf.alt_cdf, cdf, cdf.fdp_limit):
             with pytest.raises(ParameterError):
                 f(t)
+
+    def test_float_and_array_branches_agree_bit_for_bit(self, monkeypatch):
+        cdf = MixtureCdf(0.5, 2.0)
+        visited, alt_cdf = [], MixtureCdf.alt_cdf
+
+        def recording(self, t):
+            if isinstance(t, float):
+                visited.append(t)
+            return alt_cdf(self, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MixtureCdf, "alt_cdf", recording)
+            bh_fixed_point(cdf, 0.2)
+        assert len(visited) > 10
+        points = [0.0, 5e-324, 1e-300, 1e-14, 0.05, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0, *visited]
+        bits = lambda x: np.float64(x).tobytes()
+        for t in points:
+            for f in (cdf.alt_cdf, cdf):
+                assert bits(f(t)) == bits(f(np.array([t]))[0]), (f, t)
 
 
 class TestFixedPoint:
@@ -361,6 +383,12 @@ class TestAsymptoticLaw:
             law = asymptotic_law(MixtureCdf(0.5, 2.0), FixedThreshold(1e-300), ThetaOverM(0.0))
         assert law.sigma2 == pytest.approx(SIGMA2_TINY_T_REF, rel=1e-10)
 
+    @pytest.mark.parametrize("mu,t", [(0.5, 1e-320), (1.0, 5e-324)])
+    def test_subnormal_null_mass_at_the_threshold_rejected(self, mu, t):
+        # G1(1e-320) underflows to 0 at mu = 0.5; at 5e-324, pi0 * t rounds to 0
+        with pytest.raises(ParameterError, match="underflows below the normal floats"):
+            asymptotic_law(MixtureCdf(0.5, mu), FixedThreshold(t), ThetaOverM(0.0))
+
 
 # Every law field, bit for bit: sha256 over the repr of each law's to_dict()
 # items, in grid order.  Recorded before the measure calculus was collapsed
@@ -416,6 +444,11 @@ class TestLimitCov:
                 assert ecdf_limit_cov(cdf, theta, group, 0.2, 0.7) == ecdf_limit_cov(
                     cdf, theta, group, 0.7, 0.2
                 )
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -1.5], ids=["nan", "inf", "below-1"])
+    def test_theta_outside_every_regime_rejected(self, theta):
+        with pytest.raises(ParameterError, match="theta must be finite and >= -1"):
+            ecdf_limit_cov(MixtureCdf(0.5, 2.0), theta, "null", 0.2, 0.3)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError):

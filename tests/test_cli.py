@@ -442,6 +442,9 @@ USAGE_ERRORS = [
     ("rate-study --theta 0 --m-grid 100,200,400 --alpha 1.5 --threshold 0.3",
      "alpha must lie in (0, 1)"),
     ("theory --theta 0 --mu nan", "mu must be positive and finite"),
+    # pi0 * t below the normal floats: G1(t) underflows to 0 at mu = 0.5
+    ("theory --theta 0 --mu 0.5 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
+    ("simulate --theta 0 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
 ]
 
 

@@ -468,9 +468,11 @@ class TestNumpyScalarInputs:
         f32 = np.float32
         want = asymptotic_law(MixtureCdf(0.5, 2.0), BH(0.25), ThetaOverM(0.0))
         got = asymptotic_law(MixtureCdf(f32(0.5), f32(2.0)), BH(f32(0.25)), ThetaOverM(f32(0.0)))
-        for name, value in vars(want).items():
-            assert type(getattr(got, name)) is type(value)
-            assert getattr(got, name) == value
+        for field in dataclasses.fields(want):
+            value = getattr(want, field.name)
+            assert type(getattr(got, field.name)) is type(value)
+            assert getattr(got, field.name) == value
+        assert not hasattr(want, "__dict__")  # slotted: one small object per law
 
     def test_checked_values_are_stored_as_python_numbers(self):
         params = ModelParams(m=np.int64(10), pi0=np.float32(0.5), mu=np.float64(2.0), rho=0)
