@@ -90,8 +90,9 @@ class MixtureCdf:
         with q the upper-tail quantile.  Defined on (0, 1); diverges at 0.
         Near the float maximum mu*q and mu**2 both overflow; inf - inf is
         NaN there, but q < mu/2, so the exponent's limit is -inf (fmax
-        drops a NaN)."""
-        return np.exp(np.fmax(self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu, -np.inf))
+        drops a NaN).  Takes a float or a numpy array."""
+        out = np.exp(np.fmax(self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu, -np.inf))
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def __call__(self, t):
         return self.pi0 * t + (1.0 - self.pi0) * self.alt_cdf(t)
@@ -101,7 +102,11 @@ class MixtureCdf:
         return self.pi0 + (1.0 - self.pi0) * self.alt_density(t)
 
     def fdp_limit(self, t):
-        """Limiting FDP at threshold t: pi0 * t / G(t), with value 0 at t=0."""
+        """Limiting FDP at threshold t: pi0 * t / G(t), with value 0 at t=0.
+        Takes a float or a numpy array."""
+        if isinstance(t, float):
+            g = self(t)  # rejects t outside [0, 1], NaN included
+            return float(self.pi0 * t / g) if t > 0.0 else 0.0
         arr = np.asarray(t, dtype=float)
         g = self(arr)  # rejects t outside [0, 1], NaN included
         out = np.divide(self.pi0 * arr, g, out=np.zeros_like(arr), where=arr > 0.0)
@@ -111,8 +116,13 @@ class MixtureCdf:
         """Derivative of the limiting FDP curve:
         pi0 * (G(t) - t * dG(t)) / G(t)**2, for t in (0, 1).  Where G(t)**2
         falls below the normal floats (t below about 1e-154), losing digits
-        or all of them, the numerator is divided by G(t) twice instead."""
+        or all of them, the numerator is divided by G(t) twice instead.
+        Takes a float or a numpy array."""
         g = self(t)
+        if isinstance(t, float):
+            num = self.pi0 * (g - t * self.derivative(t))
+            gg = g * g
+            return float(num / gg if gg >= _TINY else num / g / g)
         num = self.pi0 * (g - np.asarray(t, dtype=float) * self.derivative(t))
         gg = g * g
         return num / gg if np.all(gg >= _TINY) else num / g / g
@@ -276,7 +286,7 @@ def fluctuation_weights(
     w = q * (1.0 - q)
     z0, z1 = w / t_star, -w / cdf.alt_cdf(t_star)
     if t_dot is not None:
-        qdot = float(cdf.fdp_limit_deriv(t_star))
+        qdot = cdf.fdp_limit_deriv(t_star)
         z0 += qdot * cdf.pi0 * t_dot
         z1 += qdot * (1.0 - cdf.pi0) * t_dot
     return z0, z1
@@ -306,22 +316,43 @@ def variance_components(
 
 @dataclass(frozen=True, slots=True)
 class AsymptoticLaw:
-    """Limit law a_m * (FDP - center) -> N(0, variance).
+    """Limit law a_m * (FDP - center) -> N(0, variance) under the
+    correlation sequence ``rho_seq``.
 
+    The record holds what the law is made of: the sequence, t*, the center
+    and the two variance components.  The sequence names the regime, theta
+    and the rate a_m, and turns (sigma2, c_coef) into the variance:
     regime "case_i" means m*rho_m -> theta finite and a_m = sqrt(m) with
     variance sigma2 + theta * c_coef**2; regime "case_ii" means
     m*rho_m -> inf with rho_m -> 0, a_m = rho_m**-0.5 and variance
-    c_coef**2.  For BH the center equals pi0 * alpha.
+    c_coef**2.  For BH the center equals pi0 * alpha.  A law is built only
+    with a variance its sequence accepts.
     """
 
-    regime: str
-    theta: Optional[float]
+    rho_seq: object  # the correlation sequence, ThetaOverM or PowerLaw
     t_star: float
     center: float
     c_coef: float
     sigma2: float
-    variance: float
-    rate: str
+
+    def __post_init__(self):
+        self.variance  # a negative case-i variance raises here
+
+    @property
+    def variance(self) -> float:
+        return self.rho_seq.variance(self.sigma2, self.c_coef)
+
+    @property
+    def regime(self) -> str:
+        return self.rho_seq.regime
+
+    @property
+    def theta(self) -> Optional[float]:
+        return self.rho_seq.theta
+
+    @property
+    def rate(self) -> str:
+        return self.rho_seq.rate
 
     def to_dict(self) -> dict:
         return {
@@ -356,14 +387,11 @@ def asymptotic_law(cdf: MixtureCdf, procedure, rho_seq) -> AsymptoticLaw:
     z0, z1 = fluctuation_weights(cdf, t_star, procedure.t_dot(cdf, t_star))
     c, sigma2 = variance_components(cdf, t_star, z0, z1)
     return AsymptoticLaw(
-        regime=rho_seq.regime,
-        theta=rho_seq.theta,
+        rho_seq=rho_seq,
         t_star=t_star,
-        center=float(cdf.fdp_limit(t_star)),
+        center=cdf.fdp_limit(t_star),
         c_coef=c,
         sigma2=sigma2,
-        variance=rho_seq.variance(sigma2, c),
-        rate=rho_seq.rate,
     )
 
 

@@ -163,22 +163,21 @@ def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
             dst[lo:hi] = src
 
 
-def _law_for(
-    config: ExperimentConfig,
-) -> tuple[Optional[AsymptoticLaw], Optional[float], list[str]]:
-    """(law, a_m, warnings) of a run; law and a_m are None together.
+def _law_for(config: ExperimentConfig) -> tuple[Optional[AsymptoticLaw], tuple[str, ...]]:
+    """(law, warnings) of a run, the law None where there is none.
 
-    The mixture is the params' own, and the regime, used for both the law and
-    a_m, is the declared one or else the params' own (OracleParams' theta = -1).
+    The mixture is the params' own, and the regime, which the law carries
+    for a_m, is the declared one or else the params' own (OracleParams'
+    theta = -1).  Across a rate study's grid the mixture, the procedure and
+    the regime stay the same, so the law does too.
     """
     regime = config.rho_seq or config.params.rho_seq
     if regime is None:
-        return None, None, ["no correlation regime declared; theory fields absent"]
+        return None, ("no correlation regime declared; theory fields absent",)
     try:
-        law = asymptotic_law(config.params.cdf, config.procedure, regime)
+        return asymptotic_law(config.params.cdf, config.procedure, regime), ()
     except RegimeError as exc:
-        return None, None, [f"regime warning: {exc}"]
-    return law, regime.a_m(config.params.base.m), []
+        return None, (f"regime warning: {exc}",)
 
 
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
@@ -190,12 +189,21 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
     replicate owns its own stream, and aggregation folds in replicate index
     order, so the summary is bit-identical for any worker count and block size.
     """
+    return _run(config, workers, stream_offset, None)
+
+
+def _run(config: ExperimentConfig, workers: int, stream_offset: int, solved) -> ExperimentSummary:
+    """:func:`run`, given `solved`, the (law, warnings) of ``_law_for(config)``
+    where the caller has solved it already, or None."""
     if not _is_int(workers):
         raise ParameterError(f"workers must be an integer, got {workers!r}")
     R = config.replicates
     workers = min(workers, R)
     _check_streams(config.seed, stream_offset, R)
-    law, a_m, warnings = _law_for(config)  # a law the library rejects fails before any replicate
+    # a law the library rejects fails before any replicate
+    law, warnings = _law_for(config) if solved is None else solved
+    warnings = list(warnings)
+    a_m = None if law is None else law.rho_seq.a_m(config.params.base.m)
     out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
     thresholds, rejected, false_rej, fdp = out
 
@@ -289,11 +297,13 @@ def rate_study(config: ExperimentConfig, workers: int = 1) -> RateStudyResult:
     """
     if config.m_grid is None:
         raise ParameterError("rate_study requires m_grid")
-    rows = []
-    for j, m in enumerate(config.m_grid):
-        cfg = _config_at_m(config, m)
-        rows.append(run(cfg, workers=workers, stream_offset=j * config.replicates))
-    return RateStudyResult(rows=tuple(rows))
+    solved = _law_for(config)  # the law does not depend on m: solved once for every row
+    return RateStudyResult(
+        rows=tuple(
+            _run(_config_at_m(config, m), workers, j * config.replicates, solved)
+            for j, m in enumerate(config.m_grid)
+        )
+    )
 
 
 # --- empirical-process covariance probe ---------------------------------------

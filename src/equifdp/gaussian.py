@@ -17,9 +17,17 @@ and underflow to 0 near z = 37.7, which is the documented behavior for the
 far tail.  ``phi_upper_inv`` is accurate to a few ulps (2**-50) over
 [5e-324, 1 - 1e-16], so P(Z >= q) of its result q is within a relative
 2**-39 of t.
+
+``phi_upper_inv`` and ``std_normal_density`` take a float or a numpy array.
+A float (numpy's float64 included) is checked with plain comparisons and
+``math.isfinite`` and returned as a Python float.  The special function is
+the same ufunc on both paths, so the two agree bit for bit; ``math.exp``
+and ``math.erfc`` would not (their last bits can differ).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special
@@ -55,9 +63,16 @@ def phi_upper(z):
 def phi_upper_inv(t):
     """Upper-tail quantile: the z with P(Z >= z) = t, for t in (0, 1).
 
-    Inverse of :func:`phi_upper`.  Raises :class:`ParameterError` outside (0, 1);
-    the open interval is required since the inverse diverges at the endpoints.
+    Inverse of :func:`phi_upper`.  Takes a float or a numpy array.  Raises
+    :class:`ParameterError` outside (0, 1); the open interval is required
+    since the inverse diverges at the endpoints.
     """
+    if isinstance(t, float):
+        if not math.isfinite(t):
+            raise ParameterError(f"t must be finite, got {t!r}")
+        if not 0.0 < t < 1.0:
+            raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
+        return float(-special.ndtri(t))
     arr = _as_finite_array(t, "t")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
@@ -68,12 +83,18 @@ def phi_upper_inv(t):
 def std_normal_density(z):
     """Standard normal density (2*pi)**-0.5 * exp(-z**2 / 2).
 
-    Always positive.  Where a signed derivative of the upper-tail function is
-    needed, the caller applies the minus sign explicitly: d/dz P(Z >= z) is
-    ``-std_normal_density(z)``.
+    Takes a float or a numpy array.  Always positive.  Where a signed
+    derivative of the upper-tail function is needed, the caller applies the
+    minus sign explicitly: d/dz P(Z >= z) is ``-std_normal_density(z)``.
     """
+    # |z| is clamped so the square cannot overflow; the density is 0.0 from
+    # |z| = 38.6
+    if isinstance(z, float):
+        if not math.isfinite(z):
+            raise ParameterError(f"z must be finite, got {z!r}")
+        a = min(abs(z), _DENSITY_ZERO_FROM)
+        return float(_INV_SQRT_2PI * np.exp(-0.5 * a * a))
     arr = _as_finite_array(z, "z")
-    # clamped so the square cannot overflow; the density is 0.0 from |z| = 38.6
     arr = np.minimum(np.abs(arr), _DENSITY_ZERO_FROM)
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out

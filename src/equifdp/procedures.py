@@ -117,7 +117,7 @@ class BH:
         transversally; a nonpositive value means the crossing is tangential
         and the derivative does not exist (:class:`DegenerateCrossingError`).
         """
-        denom = 1.0 / self.alpha - float(cdf.derivative(t_star))
+        denom = 1.0 / self.alpha - cdf.derivative(t_star)
         if denom <= 0.0:
             raise DegenerateCrossingError(
                 f"tangential crossing at t*={t_star!r}: 1/alpha - dG(t*) = {denom!r} <= 0"

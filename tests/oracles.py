@@ -2,17 +2,21 @@
 
 Everything here is deliberately naive -- exhaustive scans, Python-loop
 recounts, central differences -- and stays independent of the library code
-paths it checks.  The one exception is the stand-in procedure
-``GivenThresholds``, which hands chosen cuts to the library's group count.
+paths it checks.  The exceptions are the stand-in procedure
+``GivenThresholds``, which hands chosen cuts to the library's group count,
+and the two branch checks, which take a helper's array path as the oracle of
+its float path.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 from scipy.special import erfc, log_ndtr, ndtr, ndtri
 
+from equifdp import ParameterError
 from equifdp.gaussian import _x_band
 from equifdp.procedures import _group_counts
 
@@ -231,3 +235,27 @@ def case_ii_reference_cdf(pi0, mu, alpha, m, rho, sigma2):
         return ndtr((s[..., None] - means) / sd) @ weights
 
     return cdf
+
+
+def assert_branches_agree(f, points):
+    """f takes the float path for a float (numpy's float64 included) and the
+    array path for an array: both give the same float64 bytes, and the float
+    path a Python float."""
+    for t in points:
+        want = f(np.array([t]))[0].tobytes()
+        for x in (t, np.float64(t)):
+            value = f(x)
+            assert type(value) is float, (f, x)
+            assert np.float64(value).tobytes() == want, (f, x)
+
+
+def assert_rejects_as_array(f, x):
+    """f rejects the float x as it rejects the array [x]: the same error
+    type, and the same message apart from the input's repr."""
+    arr = np.array([x])
+    with pytest.raises(ParameterError) as scalar_error:
+        f(x)
+    with pytest.raises(ParameterError) as array_error:
+        f(arr)
+    assert type(scalar_error.value) is type(array_error.value)
+    assert str(scalar_error.value) == str(array_error.value).replace(repr(arr), repr(x))

@@ -2,6 +2,7 @@
 limit variances, and covariance kernels, checked against closed forms,
 frozen high-precision constants, and finite-difference oracles."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -14,7 +15,9 @@ from scipy.optimize import brentq as scipy_brentq
 
 from equifdp import (
     BH,
+    AsymptoticLaw,
     BracketingError,
+    EquifdpError,
     FixedPointUnderflowError,
     FixedRho,
     FixedThreshold,
@@ -33,7 +36,12 @@ from equifdp import (
     variance_components,
 )
 from equifdp.asymptotics import _ROOT_RTOL, _brentq
-from oracles import bh_closed_forms, central_difference
+from oracles import (
+    assert_branches_agree,
+    assert_rejects_as_array,
+    bh_closed_forms,
+    central_difference,
+)
 
 # pinned with 60-digit bisection before the build
 T_STAR_REF = 0.08059968470029045  # pi0=0.5, mu=2, alpha=0.2
@@ -44,6 +52,23 @@ G_HALF_REF = 0.738624934025910396  # G(0.5) at pi0=0.5, mu=2
 SIGMA2_TINY_T_REF = 4.2921974339387162e237  # pi0=0.5, mu=2, t=1e-300
 
 MU_GRID = (0.5, 1.0, 2.0, 4.0)
+
+
+def brentq_points(cdf, monkeypatch):
+    """Edge and interior points of [0, 1], and every float at which the
+    Brent loop of bh_fixed_point(cdf, 0.2) evaluates G."""
+    visited, alt_cdf = [], MixtureCdf.alt_cdf
+
+    def recording(self, t):
+        if isinstance(t, float):
+            visited.append(t)
+        return alt_cdf(self, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MixtureCdf, "alt_cdf", recording)
+        bh_fixed_point(cdf, 0.2)
+    assert len(visited) > 10
+    return [0.0, 5e-324, 1e-300, 1e-14, 0.05, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0, *visited]
 
 
 class TestMixtureCdf:
@@ -100,28 +125,32 @@ class TestMixtureCdf:
     )
     def test_non_finite_t_rejected(self, t):
         cdf = MixtureCdf(0.5, 2.0)
-        for f in (cdf.alt_cdf, cdf, cdf.fdp_limit):
+        for f in (cdf.alt_cdf, cdf, cdf.fdp_limit, cdf.fdp_limit_deriv):
             with pytest.raises(ParameterError):
                 f(t)
 
     def test_float_and_array_branches_agree_bit_for_bit(self, monkeypatch):
         cdf = MixtureCdf(0.5, 2.0)
-        visited, alt_cdf = [], MixtureCdf.alt_cdf
-
-        def recording(self, t):
-            if isinstance(t, float):
-                visited.append(t)
-            return alt_cdf(self, t)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(MixtureCdf, "alt_cdf", recording)
-            bh_fixed_point(cdf, 0.2)
-        assert len(visited) > 10
-        points = [0.0, 5e-324, 1e-300, 1e-14, 0.05, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0, *visited]
+        points = brentq_points(cdf, monkeypatch)
         bits = lambda x: np.float64(x).tobytes()
         for t in points:
             for f in (cdf.alt_cdf, cdf):
                 assert bits(f(t)) == bits(f(np.array([t]))[0]), (f, t)
+
+    def test_float_branches_of_fdp_and_density_agree_bit_for_bit(self, monkeypatch):
+        cdf = MixtureCdf(0.5, 2.0)
+        points = brentq_points(cdf, monkeypatch)
+        assert_branches_agree(cdf.fdp_limit, points)
+        inner = [t for t in points if 0.0 < t < 1.0]  # the quantile diverges at 0 and 1
+        for f in (cdf.fdp_limit_deriv, cdf.alt_density, cdf.derivative):
+            assert_branches_agree(f, inner)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    @pytest.mark.parametrize("bad", [-1e-300, 1.5])
+    def test_float_branch_of_fdp_rejects_as_the_array_branch(self, bad, cast):
+        cdf = MixtureCdf(0.5, 2.0)
+        for f in (cdf.fdp_limit, cdf.fdp_limit_deriv):
+            assert_rejects_as_array(f, cast(bad))
 
 
 class TestFixedPoint:
@@ -363,6 +392,14 @@ class TestAsymptoticLaw:
         b = asymptotic_law(cdf, BH(0.2), PowerLaw(3.0, 0.25))
         assert a.variance == b.variance == a.c_coef**2
         assert a.rate == "rho_m**-0.5"
+
+    def test_a_negative_case_i_variance_fails_when_the_law_is_built(self):
+        law = AsymptoticLaw(ThetaOverM(-1.0), 0.1, 0.1, c_coef=1.0, sigma2=1.0 - 1e-11)
+        assert law.variance == 0.0  # within rounding of zero: clamped
+        with pytest.raises(EquifdpError, match="is negative"):
+            AsymptoticLaw(ThetaOverM(-1.0), 0.1, 0.1, c_coef=1.0, sigma2=0.5)
+        with pytest.raises(EquifdpError, match="is negative"):
+            dataclasses.replace(law, sigma2=0.5)
 
     def test_fixed_rho_raises_regime_error(self):
         cdf = MixtureCdf(0.5, 2.0)

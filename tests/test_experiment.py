@@ -32,6 +32,7 @@ from equifdp import (
     write_replicates_csv,
     write_summary_json,
 )
+from equifdp import experiment
 from equifdp.experiment import _write_json
 from oracles import bootstrap_cov_se
 
@@ -290,6 +291,17 @@ class TestRateStudy:
         with pytest.raises(ParameterError):
             rate_study(SMALL)
 
+    def test_law_is_solved_once_for_the_grid(self, monkeypatch):
+        # the law depends on the mixture, procedure and regime, not on m
+        calls, solve = [], experiment.asymptotic_law
+        monkeypatch.setattr(experiment, "asymptotic_law", lambda *a: calls.append(a) or solve(*a))
+        grid = (400, 800, 1600)
+        rows = rate_study(dataclasses.replace(SMALL, replicates=30, m_grid=grid)).rows
+        assert len(calls) == 1
+        assert all(row.law is rows[0].law for row in rows)
+        assert [row.a_m for row in rows] == [math.sqrt(m) for m in grid]
+        assert all(len(row.warnings) == 1 for row in rows)  # each row's R < 100 note, once
+
     def test_oracle_rows_are_oracle_runs(self):
         # row j of an oracle study is the oracle run at m_j from stream j*R,
         # with the theta = -1 law of the rescaled statistics at rate sqrt(m_j)
@@ -366,7 +378,8 @@ class TestToleranceChecks:
         import dataclasses
 
         s = run(SMALL)
-        bad_law = dataclasses.replace(s.law, variance=s.law.variance * 10.0)
+        bad_law = dataclasses.replace(s.law, sigma2=s.law.sigma2 * 10.0)  # theta = 0
+        assert bad_law.variance == s.law.variance * 10.0
         distorted = dataclasses.replace(
             s,
             law=bad_law,

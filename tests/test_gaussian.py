@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from equifdp import ParameterError, phi_upper, phi_upper_inv, std_normal_density
+from oracles import assert_branches_agree, assert_rejects_as_array
 
 # (z, P(Z >= z)); spans upper-tail probabilities from ~1 - 1e-16 down to
 # ~5.7e-300, i.e. the whole normally-representable range
@@ -143,6 +144,14 @@ class TestPhiUpperInv:
         with pytest.raises(ParameterError):
             phi_upper_inv(bad)
 
+    def test_float_and_array_branches_agree_bit_for_bit(self):
+        assert_branches_agree(phi_upper_inv, [5e-324, 1e-300, 0.05, 0.5, 1 - 2**-53])
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.0])
+    def test_float_branch_rejects_as_the_array_branch(self, bad, cast):
+        assert_rejects_as_array(phi_upper_inv, cast(bad))
+
 
 class TestDensity:
     @pytest.mark.parametrize("z,expected", DENSITY_TABLE)
@@ -165,6 +174,17 @@ class TestDensity:
             assert std_normal_density(z) == 0.0
             density = std_normal_density(np.array([z, 0.0]))
             np.testing.assert_array_equal(density, [0.0, std_normal_density(0.0)])
+
+    def test_float_and_array_branches_agree_bit_for_bit(self):
+        # math.exp(-3.125) is an ulp off np.exp's; 8.5 tells a division by
+        # sqrt(2*pi) from the product with its reciprocal
+        points = [0.0, 1e-300, 2.5, 8.5, 37.5, 38.6, 40.0, 1e308]
+        assert_branches_agree(std_normal_density, points + [-z for z in points])
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float_branch_rejects_as_the_array_branch(self, bad, cast):
+        assert_rejects_as_array(std_normal_density, cast(bad))
 
     def test_bits_of_the_plain_formula_up_to_38(self):
         z = np.linspace(-38.0, 38.0, 7601)
