@@ -116,7 +116,8 @@ class MixtureCdf:
         """Derivative of the limiting FDP curve:
         pi0 * (G(t) - t * dG(t)) / G(t)**2, for t in (0, 1).  Where G(t)**2
         falls below the normal floats (t below about 1e-154), losing digits
-        or all of them, the numerator is divided by G(t) twice instead.
+        or all of them, the numerator is divided by G(t) twice instead; an
+        array chooses per element, so each agrees with the float path.
         Takes a float or a numpy array."""
         g = self(t)
         if isinstance(t, float):
@@ -125,7 +126,9 @@ class MixtureCdf:
             return float(num / gg if gg >= _TINY else num / g / g)
         num = self.pi0 * (g - np.asarray(t, dtype=float) * self.derivative(t))
         gg = g * g
-        return num / gg if np.all(gg >= _TINY) else num / g / g
+        out = np.asarray(num / g / g)
+        np.divide(num, gg, out=out, where=gg >= _TINY)
+        return float(out) if out.ndim == 0 else out
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter):
@@ -194,6 +197,10 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     the small-mu grid); below 1e-290 FixedPointUnderflowError is raised.
     Where t* lies so far below 1e-14 that the method runs out of steps, it
     runs again on the last slide step's bracket, a factor of 1e8 wide.
+    Uniqueness is then checked on 16 points: h must be positive at 8
+    geometric points from the left end to t*/2 and negative at 8 even
+    points from t* + (1 - t*)/20 to 1 - 1e-10, all evaluated in one array
+    call of G.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats: it gives scipy's roots bit for bit, keeps its failures
@@ -242,13 +249,31 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
         raise BracketingError(f"fixed-point relative residual {residual:.3e} exceeds tolerance")
 
     # uniqueness pattern: h > 0 strictly left of the root, h < 0 strictly right
-    left_grid = np.geomspace(left, root * 0.5, 8)
-    right_grid = np.linspace(root + 0.05 * (1.0 - root), 1.0 - 1e-10, 8)
-    if np.any(cdf(left_grid) - left_grid / alpha <= 0.0):
+    grid = _sign_grid(left, root)
+    signs = (cdf(grid) - grid / alpha).tolist()
+    if any(v <= 0.0 for v in signs[:8]):
         raise BracketingError("sign pattern left of the fixed point is not positive")
-    if np.any(cdf(right_grid) - right_grid / alpha >= 0.0):
+    if any(v >= 0.0 for v in signs[8:]):
         raise BracketingError("sign pattern right of the fixed point is not negative")
     return root
+
+
+def _sign_grid(left: float, root: float) -> np.ndarray:
+    """The 16 points of the sign-pattern check, bit for bit
+    ``np.geomspace(left, root * 0.5, 8)`` then
+    ``np.linspace(root + 0.05 * (1 - root), 1 - 1e-10, 8)``, without their
+    per-call overhead: numpy's exponents and points are ``k * step + start``
+    in float64, which Python floats reproduce; the logarithms and the power
+    are the same ufuncs on the same shapes, and the endpoints are set
+    exactly, as numpy sets them."""
+    half = root * 0.5
+    lo, hi = float(np.log10(left)), float(np.log10(half))
+    step = (hi - lo) / 7
+    left_grid = np.power(10.0, np.array([k * step + lo for k in range(7)] + [hi]))
+    left_grid[0], left_grid[7] = left, half
+    start, stop = root + 0.05 * (1.0 - root), 1.0 - 1e-10
+    step = (stop - start) / 7
+    return np.concatenate((left_grid, [k * step + start for k in range(7)] + [stop]))
 
 
 # --- point-mass weights and the two variance components ---------------------
@@ -319,24 +344,29 @@ class AsymptoticLaw:
     """Limit law a_m * (FDP - center) -> N(0, variance) under the
     correlation sequence ``rho_seq``.
 
-    The record holds what the law is made of: the sequence, t*, the center
-    and the two variance components.  The sequence names the regime, theta
-    and the rate a_m, and turns (sigma2, c_coef) into the variance:
-    regime "case_i" means m*rho_m -> theta finite and a_m = sqrt(m) with
-    variance sigma2 + theta * c_coef**2; regime "case_ii" means
-    m*rho_m -> inf with rho_m -> 0, a_m = rho_m**-0.5 and variance
-    c_coef**2.  For BH the center equals pi0 * alpha.  A law is built only
+    The record holds what the law is made of: the sequence, t*, the
+    mixture and the two variance components.  The sequence names the
+    regime, theta and the rate a_m, and turns (sigma2, c_coef) into the
+    variance: regime "case_i" means m*rho_m -> theta finite and
+    a_m = sqrt(m) with variance sigma2 + theta * c_coef**2; regime
+    "case_ii" means m*rho_m -> inf with rho_m -> 0, a_m = rho_m**-0.5 and
+    variance c_coef**2.  The center is the mixture's limiting FDP at t*,
+    computed on access; for BH it equals pi0 * alpha.  A law is built only
     with a variance its sequence accepts.
     """
 
     rho_seq: object  # the correlation sequence, ThetaOverM or PowerLaw
     t_star: float
-    center: float
+    cdf: MixtureCdf
     c_coef: float
     sigma2: float
 
     def __post_init__(self):
         self.variance  # a negative case-i variance raises here
+
+    @property
+    def center(self) -> float:
+        return self.cdf.fdp_limit(self.t_star)
 
     @property
     def variance(self) -> float:
@@ -389,7 +419,7 @@ def asymptotic_law(cdf: MixtureCdf, procedure, rho_seq) -> AsymptoticLaw:
     return AsymptoticLaw(
         rho_seq=rho_seq,
         t_star=t_star,
-        center=cdf.fdp_limit(t_star),
+        cdf=cdf,
         c_coef=c,
         sigma2=sigma2,
     )

@@ -35,7 +35,8 @@ from equifdp import (
     std_normal_density,
     variance_components,
 )
-from equifdp.asymptotics import _ROOT_RTOL, _brentq
+from equifdp import asymptotics
+from equifdp.asymptotics import _ROOT_RTOL, _brentq, _sign_grid
 from oracles import (
     assert_branches_agree,
     assert_rejects_as_array,
@@ -145,6 +146,14 @@ class TestMixtureCdf:
         for f in (cdf.fdp_limit_deriv, cdf.alt_density, cdf.derivative):
             assert_branches_agree(f, inner)
 
+    def test_deriv_of_a_mixed_array_agrees_with_the_float_path(self):
+        # one element below the G**2 floor must not move the others off the
+        # one-division formula
+        cdf = MixtureCdf(0.5, 2.0)
+        t = np.concatenate(([1e-200], np.random.default_rng(8).uniform(0.0, 1.0, 2000)))
+        want = [cdf.fdp_limit_deriv(float(x)) for x in t]
+        assert cdf.fdp_limit_deriv(t).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("cast", [float, np.float64])
     @pytest.mark.parametrize("bad", [-1e-300, 1.5])
     def test_float_branch_of_fdp_rejects_as_the_array_branch(self, bad, cast):
@@ -190,6 +199,32 @@ class TestFixedPoint:
         with pytest.raises(FixedPointUnderflowError, match="below double range"):
             bh_fixed_point(MixtureCdf(pi0, mu), alpha)
         assert issubclass(FixedPointUnderflowError, BracketingError)
+
+    @pytest.mark.parametrize(
+        "window, lift, message",
+        [((5e-6, 2e-5), -1.0, "left of the fixed point is not positive"),
+         ((0.85, 0.9), 4.0, "right of the fixed point is not negative")],
+        ids=["left", "right"],
+    )
+    def test_sign_pattern_check_rejects_a_second_crossing(self, window, lift, message):
+        # the root search lands on t* = 0.0806 and meets the residual test;
+        # only the 16-point check sees the window where h changes sign again
+        cdf = _Lifted(0.5, 2.0, *window, lift)
+        with pytest.raises(BracketingError, match=message):
+            bh_fixed_point(cdf, 0.2)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Lifted(MixtureCdf):
+    """G lifted by `lift` on the open window (lo, hi): for a lift large
+    enough h = G - t/alpha crosses zero twice more inside the window."""
+
+    lo: float = 0.0
+    hi: float = 0.0
+    lift: float = 0.0
+
+    def __call__(self, t):
+        return super().__call__(t) + np.where((self.lo < t) & (t < self.hi), self.lift, 0.0)
 
 
 def _recorded(f):
@@ -394,10 +429,11 @@ class TestAsymptoticLaw:
         assert a.rate == "rho_m**-0.5"
 
     def test_a_negative_case_i_variance_fails_when_the_law_is_built(self):
-        law = AsymptoticLaw(ThetaOverM(-1.0), 0.1, 0.1, c_coef=1.0, sigma2=1.0 - 1e-11)
+        cdf = MixtureCdf(0.5, 2.0)
+        law = AsymptoticLaw(ThetaOverM(-1.0), 0.1, cdf, c_coef=1.0, sigma2=1.0 - 1e-11)
         assert law.variance == 0.0  # within rounding of zero: clamped
         with pytest.raises(EquifdpError, match="is negative"):
-            AsymptoticLaw(ThetaOverM(-1.0), 0.1, 0.1, c_coef=1.0, sigma2=0.5)
+            AsymptoticLaw(ThetaOverM(-1.0), 0.1, cdf, c_coef=1.0, sigma2=0.5)
         with pytest.raises(EquifdpError, match="is negative"):
             dataclasses.replace(law, sigma2=0.5)
 
@@ -452,6 +488,69 @@ def test_asymptotic_law_digest_pins(kind):
                     law = asymptotic_law(MixtureCdf(pi0, mu), procedure, seq)
                     h.update(repr(list(law.to_dict().items())).encode())
     assert h.hexdigest() == LAW_DIGEST_PINS[kind]
+
+
+# Every outcome of BH at theta = 0 on a grid that reaches far-left and
+# underflowing fixed points: sha256 over the repr of each law's to_dict()
+# items, or the error's class name, in grid order.  153 laws and 57
+# FixedPointUnderflowErrors.
+SMALL_MU_PIN = "7d1629ab3c1ffd744983482b493005c40af17aa2f1832f9345574bd188064fa6"
+SMALL_MU_GRID = [
+    (pi0, mu, alpha)
+    for pi0 in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+    for mu in (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
+    for alpha in (0.001, 0.01, 0.05, 0.1, 0.2)
+]
+
+
+def test_small_mu_outcome_pin():
+    h = hashlib.sha256()
+    for pi0, mu, alpha in SMALL_MU_GRID:
+        try:
+            law = asymptotic_law(MixtureCdf(pi0, mu), BH(alpha), ThetaOverM(0.0))
+        except EquifdpError as error:
+            h.update(type(error).__name__.encode())
+        else:
+            h.update(repr(list(law.to_dict().items())).encode())
+    assert h.hexdigest() == SMALL_MU_PIN
+
+
+def _numpy_sign_grid(left, root):
+    return np.concatenate(
+        (np.geomspace(left, root * 0.5, 8), np.linspace(root + 0.05 * (1.0 - root), 1.0 - 1e-10, 8))
+    )
+
+
+def test_sign_grid_is_numpys_bit_for_bit(monkeypatch):
+    # the brackets bh_fixed_point builds on the digest and small-mu grids,
+    # then random ones: slid left ends, and roots within 2x of the left end
+    brackets = []
+
+    def recording(left, root):
+        brackets.append((left, root))
+        return _sign_grid(left, root)
+
+    monkeypatch.setattr(asymptotics, "_sign_grid", recording)
+    for pi0 in DIGEST_PI0:
+        for mu in MU_GRID:
+            for procedure in DIGEST_PROCEDURES["bh"]:
+                bh_fixed_point(MixtureCdf(pi0, mu), procedure.alpha)
+    for pi0, mu, alpha in SMALL_MU_GRID:
+        try:
+            bh_fixed_point(MixtureCdf(pi0, mu), alpha)
+        except FixedPointUnderflowError:
+            pass
+    assert len(brackets) == len(DIGEST_PI0) * len(MU_GRID) * 3 + 153
+    rng = np.random.default_rng(20)
+    for k in rng.integers(0, 35, size=2000):
+        left = 1e-14 * 1e-8 ** int(k)
+        brackets.append((left, left ** rng.uniform(0.0, 1.0)))
+        brackets.append((left, left * rng.uniform(1.0, 2.0)))
+    for left, root in brackets:
+        assert _sign_grid(left, root).tobytes() == _numpy_sign_grid(left, root).tobytes(), (
+            left,
+            root,
+        )
 
 
 class TestLimitCov:
