@@ -53,9 +53,11 @@ __all__ = [
     "ecdf_limit_cov",
 ]
 
-_ROOT_RTOL = 4 * np.finfo(float).eps
+_ROOT_RTOL = 4 * float(np.finfo(float).eps)  # a float keeps Brent's roots floats
 _TINY = np.finfo(float).tiny
 _RESIDUAL_TOL = 1e-12
+_NEAR_ONE = ("alpha={!r} is within about (1 - pi0) * 1e-10 of 1 at pi0={!r}: t* then lies "
+             "within 1e-10 of 1, where its sign-pattern check has no room")
 
 
 @dataclass(frozen=True)
@@ -131,29 +133,16 @@ class MixtureCdf:
         return float(out) if out.ndim == 0 else out
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4): a
-    line-for-line port of scipy's ``brentq.c``, so it returns the same root
-    after the same evaluations of f as ``scipy.optimize.brentq``.
+def _brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), given
+    fa = f(xa) and fb = f(xb) of opposite signs, or fb = 0.  A line-for-line
+    port of scipy's ``brentq.c`` past its two end evaluations: it returns
+    the same root after the same further evaluations of f as
+    ``scipy.optimize.brentq``.  Returns the root and f there.
 
-    Raises :class:`BracketingError` if f(xa) and f(xb) have the same sign,
-    if f returns NaN, or if maxiter steps do not converge.
+    Raises :class:`BracketingError` if maxiter steps do not converge.
     """
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise BracketingError(f"root search met NaN at x={x!r}")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketingError(f"f({xa!r}) and f({xb!r}) have the same sign")
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -165,7 +154,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -181,7 +170,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = f(xcur)
     raise BracketingError(f"root search did not converge in {maxiter} iterations")
 
 
@@ -203,28 +192,36 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     call of G.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
-    plain floats: it gives scipy's roots bit for bit, keeps its failures
-    inside :class:`BracketingError`, and spares every command the import of
+    plain floats, handed the values of h at the bracket ends that the
+    bracket search has sign-checked: its further evaluations of h, and so
+    its roots, are scipy's bit for bit.  It keeps its failures inside
+    :class:`BracketingError` and spares every command the import of
     ``scipy.optimize`` (about 23 MB of resident memory and 0.3 s).
 
-    Raises :class:`FixedPointUnderflowError` if h is not positive anywhere
-    above 1e-290, so that t* is below double range, and
-    :class:`BracketingError` if no bracket is found, the root search fails or
-    the sign-pattern check around the root fails; each indicates a bug or a
+    Raises :class:`ParameterError` if t* lies within 1e-10 of 1 (1 - t* is
+    about (1 - alpha) / (1 - pi0)), :class:`FixedPointUnderflowError` if h
+    is not positive anywhere above 1e-290, so that t* is below double range,
+    and :class:`BracketingError` if h is NaN, the root search fails or the
+    sign-pattern check around the root fails, which indicates a bug or a
     pathological parameter set, not a recoverable condition.
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
 
     def h(t):
-        return cdf(t) - t / alpha
+        v = cdf(t) - t / alpha
+        if math.isnan(v):
+            raise BracketingError(f"root search met NaN at t={t!r}")
+        return v
 
     left, right = 1e-14, 1.0 - 1e-14
-    if h(right) >= 0.0:
-        raise BracketingError(f"h(1-) >= 0 for alpha={alpha}; no crossing in (0, 1)")
-    step = right  # the last slide step's bracket is [left, step]
-    while h(left) <= 0.0:
-        left, step = left * 1e-8, left
+    h_right = h(right)
+    if h_right >= 0.0:  # t* lies in [1 - 1e-14, 1)
+        raise ParameterError(_NEAR_ONE.format(alpha, cdf.pi0))
+    # the last slide step's bracket is [left, step]; h(step) <= 0
+    step, h_step = right, h_right
+    while (h_left := h(left)) <= 0.0:
+        left, step, h_step = left * 1e-8, left, h_left
         if left < 1e-290:
             raise FixedPointUnderflowError(
                 f"t* is below double range for pi0={cdf.pi0}, mu={cdf.mu}, "
@@ -232,21 +229,23 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
                 f"down to 1e-290, so the fixed point underflows"
             )
 
-    def solve(hi):
-        return float(_brentq(h, left, hi, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300))
+    def solve(hi, h_hi):
+        return _brentq(h, left, hi, h_left, h_hi, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300)
 
     try:
-        root = solve(right)
+        root, h_root = solve(right, h_right)
     except BracketingError:
         # far below 1e-14, bisection on [left, 1) cannot reach t* in 300
         # steps; the last slide step brackets it within a factor 1e8
         if step == right:
             raise
-        root = solve(step)
+        root, h_root = solve(step, h_step)
 
-    residual = abs(cdf(root) - root / alpha) / (root / alpha)
+    residual = abs(h_root) / (root / alpha)
     if residual > _RESIDUAL_TOL:
         raise BracketingError(f"fixed-point relative residual {residual:.3e} exceeds tolerance")
+    if root >= 1.0 - 1e-10:
+        raise ParameterError(_NEAR_ONE.format(alpha, cdf.pi0))
 
     # uniqueness pattern: h > 0 strictly left of the root, h < 0 strictly right
     grid = _sign_grid(left, root)

@@ -180,7 +180,8 @@ def conditional_bh_fdp(pi0, mu, alpha, rho, w):
     G_w(t) = pi0 * G0_w(t) + (1 - pi0) * G1_w(t), the BH threshold tends to
     the largest root t_w of G_w(t) = t / alpha, and the FDP tends to
     pi0 * G0_w(t_w) / G_w(t_w).  When G_w(t) < t / alpha on the whole scan,
-    BH rejects nothing and the FDP is 0 by convention.
+    BH rejects nothing and the FDP is 0 by convention; where G_w(alpha)
+    rounds to 1, t_w is alpha.
 
     The root is bracketed by a scan of log t over [log 1e-300, log alpha]
     and refined by brentq in log t; everything is computed in the log domain.
@@ -202,8 +203,13 @@ def conditional_bh_fdp(pi0, mu, alpha, rho, w):
     above = np.flatnonzero(excess(grid) >= 0.0)
     if above.size == 0:
         return 0.0
-    k = above[-1]  # below the last point: G_w(alpha) < 1 = alpha / alpha
-    u_root = brentq(excess, grid[k], grid[k + 1], xtol=1e-14, rtol=1e-15)
+    k = above[-1]
+    if k == grid.size - 1:
+        # G_w(alpha) rounds to 1 = alpha / alpha (at rho = 0.3, for w >= 14.1):
+        # the root is alpha itself
+        u_root = grid[k]
+    else:
+        u_root = brentq(excess, grid[k], grid[k + 1], xtol=1e-14, rtol=1e-15)
     log_g0, log_g = log_parts(u_root)
     return float(np.exp(log_pi0 + log_g0 - log_g))
 

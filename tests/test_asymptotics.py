@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.optimize import brentq as scipy_brentq
 
 from equifdp import (
     BH,
     AsymptoticLaw,
     BracketingError,
+    DegenerateCrossingError,
     EquifdpError,
     FixedPointUnderflowError,
     FixedRho,
@@ -42,6 +44,7 @@ from oracles import (
     assert_rejects_as_array,
     bh_closed_forms,
     central_difference,
+    conditional_bh_fdp,
 )
 
 # pinned with 60-digit bisection before the build
@@ -213,6 +216,36 @@ class TestFixedPoint:
         with pytest.raises(BracketingError, match=message):
             bh_fixed_point(cdf, 0.2)
 
+    def test_residual_check_rejects_a_jump_across_the_line(self):
+        # G drops by 0.1 right of 0.08, just left of t* = 0.0806: h changes
+        # sign at the jump, where the search converges with h far from 0
+        with pytest.raises(BracketingError, match="relative residual"):
+            bh_fixed_point(_Lifted(0.5, 2.0, 0.08, 1.0, -0.1), 0.2)
+
+    @pytest.mark.parametrize(
+        "window", [(1 - 1e-14, 1 - 1e-14), (0.07, 0.09)], ids=["at-endpoint", "mid-search"]
+    )
+    def test_nan_in_the_root_search(self, window):
+        # the first is the bracket's right end, the second holds t* = 0.0806,
+        # where the search without a slide step gives up at once
+        with pytest.raises(BracketingError, match="root search met NaN"):
+            bh_fixed_point(_NaNWindow(0.5, 2.0, *window), 0.2)
+
+    @pytest.mark.parametrize(
+        "alpha", [0.99999999999, 1 - 1e-15], ids=["grid-end-left-of-root", "no-bracket"]
+    )
+    def test_alpha_within_reach_of_one_is_a_parameter_error(self, alpha):
+        # 1 - t* is about 2 * (1 - alpha) at pi0 = 0.5: 2e-11, so the sign
+        # check's right grid would end left of t*, and 2e-15, above the
+        # bracket's right end 1 - 1e-14
+        with pytest.raises(ParameterError, match=r"within about \(1 - pi0\) \* 1e-10 of 1"):
+            bh_fixed_point(MixtureCdf(0.5, 2.0), alpha)
+
+    def test_alpha_close_to_one_still_solved(self):
+        # 1 - t* = 1.12e-10, just clear of the check's 1 - 1e-10
+        t = bh_fixed_point(MixtureCdf(0.5, 2.0), 1 - 10**-10.25)
+        assert repr(t) == "0.9999999998875317"
+
 
 @dataclasses.dataclass(frozen=True)
 class _Lifted(MixtureCdf):
@@ -225,6 +258,17 @@ class _Lifted(MixtureCdf):
 
     def __call__(self, t):
         return super().__call__(t) + np.where((self.lo < t) & (t < self.hi), self.lift, 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _NaNWindow(MixtureCdf):
+    """G is NaN on the closed window [lo, hi]."""
+
+    lo: float = 0.0
+    hi: float = 0.0
+
+    def __call__(self, t):
+        return super().__call__(t) + np.where((self.lo <= t) & (t <= self.hi), np.nan, 0.0)
 
 
 def _recorded(f):
@@ -254,32 +298,24 @@ class TestBrentPort:
                     slid += left < 1e-14
                     port, port_calls = _recorded(h)
                     ref, ref_calls = _recorded(h)
-                    root = _brentq(port, left, 1.0 - 1e-14, 1e-300, _ROOT_RTOL, 300)
+                    right = 1.0 - 1e-14
+                    root, h_root = _brentq(port, left, right, h(left), h(right), 1e-300,
+                                           _ROOT_RTOL, 300)
                     expected = scipy_brentq(
-                        ref, left, 1.0 - 1e-14, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300
+                        ref, left, right, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=300
                     )
-                    assert root == expected
-                    assert port_calls == ref_calls
+                    assert root == expected and type(root) is float
+                    # scipy evaluates the two ends first; the port is handed them
+                    assert ref_calls[:2] == [left, right]
+                    assert port_calls == ref_calls[2:]
+                    assert h_root == h(root)
                     assert bh_fixed_point(cdf, alpha) == root
         assert slid == 24
-
-    def test_same_sign_bracket(self):
-        with pytest.raises(BracketingError, match="same sign"):
-            _brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-300, _ROOT_RTOL, 300)
-
-    @pytest.mark.parametrize(
-        "f",
-        [lambda x: math.nan, lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5],
-        ids=["at-endpoint", "mid-search"],
-    )
-    def test_nan_value(self, f):
-        with pytest.raises(BracketingError, match="NaN"):
-            _brentq(f, 0.0, 1.0, 1e-300, _ROOT_RTOL, 300)
 
     def test_iterations_exhausted(self):
         f = lambda x: math.exp(x) - 2.0
         with pytest.raises(BracketingError, match="3 iterations"):
-            _brentq(f, 0.0, 1.0, 1e-300, _ROOT_RTOL, 3)
+            _brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-300, _ROOT_RTOL, 3)
         with pytest.raises(RuntimeError, match="converge"):
             scipy_brentq(f, 0.0, 1.0, xtol=1e-300, rtol=_ROOT_RTOL, maxiter=3)
 
@@ -301,6 +337,11 @@ class TestThresholdDerivative:
         assert gdot_closed == pytest.approx(fd, rel=1e-6)
         assert BH(0.2).t_dot(cdf, t) == pytest.approx(1.0 / (5.0 - gdot_closed), rel=1e-12)
 
+    def test_bh_weight_at_a_tangential_crossing_raises(self):
+        # at t = 1e-10 the alternative density makes dG far exceed 1/alpha
+        with pytest.raises(DegenerateCrossingError, match="tangential crossing"):
+            BH(0.2).t_dot(MixtureCdf(0.5, 2.0), 1e-10)
+
     def test_fixed_threshold_has_zero_derivative(self):
         cdf = MixtureCdf(0.5, 2.0)
         assert FixedThreshold(0.4).t_star(cdf) == 0.4
@@ -309,6 +350,11 @@ class TestThresholdDerivative:
 
 
 class TestFluctuationMeasures:
+    @pytest.mark.parametrize("t_star", [0.0, 1.0, math.nan])
+    def test_t_star_outside_the_unit_interval_rejected(self, t_star):
+        with pytest.raises(ParameterError, match="t_star must lie in"):
+            fluctuation_weights(MixtureCdf(0.5, 2.0), t_star, 1.0)
+
     def test_bh_alt_measure_cancels(self):
         cdf = MixtureCdf(0.5, 2.0)
         t = bh_fixed_point(cdf, 0.2)
@@ -586,6 +632,11 @@ class TestLimitCov:
         with pytest.raises(ParameterError, match="theta must be finite and >= -1"):
             ecdf_limit_cov(MixtureCdf(0.5, 2.0), theta, "null", 0.2, 0.3)
 
+    @pytest.mark.parametrize("s, t", [(0.0, 0.5), (0.5, 1.0), (math.nan, 0.5)])
+    def test_points_outside_the_unit_interval_rejected(self, s, t):
+        with pytest.raises(ParameterError, match="s, t must lie in"):
+            ecdf_limit_cov(MixtureCdf(0.5, 2.0), 0.0, "null", s, t)
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError):
             ecdf_limit_cov(MixtureCdf(0.5, 2.0), 0.0, "bogus", 0.5, 0.5)
@@ -603,3 +654,15 @@ class TestLimitCov:
         d = lambda u: std_normal_density(phi_upper_inv(u))
         expected = (min(s, t) - s * t) / 0.5 + theta * d(s) * d(t)
         assert ecdf_limit_cov(cdf, theta, "null", s, t) == pytest.approx(expected, rel=1e-14)
+
+
+class TestConditionalOracle:
+    @pytest.mark.parametrize("w", [14.1, 15.0])
+    def test_root_at_alpha_where_g_rounds_to_one(self, w):
+        # at rho = 0.3 G_w(alpha) rounds to 1 for w >= 14.1, so every scan
+        # point clears the line; the root is alpha and f(w) = pi0*G0_w/G_w there
+        pi0, mu, alpha, rho = 0.5, 2.0, 0.2, 0.3
+        shift, scale, q = math.sqrt(rho) * w, math.sqrt(1.0 - rho), phi_upper_inv(alpha)
+        g0 = special.ndtr((shift - q) / scale)
+        g = pi0 * g0 + (1.0 - pi0) * special.ndtr((shift + mu - q) / scale)
+        assert conditional_bh_fdp(pi0, mu, alpha, rho, w) == pytest.approx(pi0 * g0 / g, rel=1e-15)

@@ -242,6 +242,17 @@ class TestSimulate:
         assert line.startswith(f"wrote {tmp_path / 'few'}/summary.json: mean_fdp=")
         assert line.endswith(note) and "variance_ratio" not in line
 
+    def test_power_law_is_echoed_with_its_constants(self, tmp_path):
+        out = tmp_path / "power"
+        args = [
+            "simulate", "--m", "100", "--gamma", "0.5", "--rho-coef", "2", "--pi0", "0.5",
+            "--mu", "2", "--alpha", "0.2", "--replicates", "5", "--out", str(out),
+        ]
+        assert run_cli(args) == 0
+        want = {"kind": "power_law", "c": 2.0, "gamma": 0.5}
+        assert load_json((out / "config.json").read_text())["rho_seq"] == want
+        assert load_json((out / "summary.json").read_text())["config"]["rho_seq"] == want
+
     def test_theta_flag_selects_case_i(self, tmp_path):
         out = tmp_path / "theta"
         args = [
@@ -336,6 +347,27 @@ class TestConfigFile:
         cfg.write_text("replicates = 5\n")
         argv = SIM_ARGS + spelling.format(cfg).split()
         assert_usage_error(argv, "--config", tmp_path, capsys)
+
+    # m = 10 puts the FDP on a coarse lattice, so the KS check fails
+    _LATTICE_RUN = "m = 10\ntheta = 0\npi0 = 0.5\nmu = 2\nalpha = 0.2\nreplicates = 200\n"
+
+    @pytest.mark.parametrize("word, code", [("yes", 3), ("On", 3), ("off", 0), ("0", 0)])
+    def test_check_key_takes_boolean_words(self, word, code, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self._LATTICE_RUN + f"check = {word}\n")
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+
+    def test_case_ii_key_selects_the_regime(self, tmp_path, capsys):
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text("pi0 = 0.5\nmu = 2\nalpha = 0.2\ncase-ii = on\n")
+        assert run_cli(["theory", "--config", str(cfg)]) == 0
+        assert load_json(capsys.readouterr().out)["theory"]["regime"] == "case_ii"
+
+    def test_boolean_key_with_another_word_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self._LATTICE_RUN + "check = maybe\n")
+        assert run_cli(["simulate", "--config", str(cfg)]) == cli.EXIT_RUNTIME
+        assert f"{cfg}:7: check must be true or false" in capsys.readouterr().err
 
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -432,6 +464,7 @@ USAGE_ERRORS = [
     ("simulate --theta 0 --threshold 1.5", "threshold must lie in (0, 1)"),
     ("rate-study --theta 0 --m-grid 100,300,200", "m_grid must be increasing"),
     ("rate-study --theta 0 --m-grid ,", "--m-grid: must be comma-separated integers"),
+    ("rate-study --theta 0 --m-grid 100,x", "--m-grid: must be comma-separated integers"),
     # the grid's second point, not its first, is outside the model
     ("rate-study --rho -0.005 --m-grid 100,300,400", "for m=300, got -0.005"),
     ("oracle --rho 1.0", "oracle transform requires rho in (0, 1)"),
@@ -442,6 +475,9 @@ USAGE_ERRORS = [
     ("rate-study --theta 0 --m-grid 100,200,400 --alpha 1.5 --threshold 0.3",
      "alpha must lie in (0, 1)"),
     ("theory --theta 0 --mu nan", "mu must be positive and finite"),
+    # t* within 1e-10 of 1 at pi0 = 0.5: 1 - t* is 2e-11, and 2e-15 (above 1 - 1e-14)
+    ("theory --theta 0 --alpha 0.99999999999", "within about (1 - pi0) * 1e-10 of 1"),
+    ("simulate --theta 0 --alpha 0.999999999999999", "within about (1 - pi0) * 1e-10 of 1"),
     # pi0 * t below the normal floats: G1(t) underflows to 0 at mu = 0.5
     ("theory --theta 0 --mu 0.5 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
     ("simulate --theta 0 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),

@@ -88,6 +88,22 @@ class TestRunBasics:
         )
         assert s.a_m == np.sqrt(400)
 
+    def test_zero_theory_variance_skips_the_ks(self):
+        # case ii at a threshold of 1e-300 with mu = 40: c is about 4e-299,
+        # so c**2 underflows to 0, and no null is ever rejected
+        seq = PowerLaw(1.0, 0.5)
+        cfg = ExperimentConfig(
+            params=ModelParams(m=200, pi0=0.5, mu=40.0, rho=seq.rho_at(200)),
+            procedure=FixedThreshold(1e-300),
+            rho_seq=seq,
+            replicates=100,
+            seed=0,
+        )
+        s = run(cfg)
+        assert s.law.variance == 0.0 and s.law.c_coef > 0.0
+        assert s.variance_ratio is None and s.ks_statistic is None
+        assert s.warnings == ("theory variance is zero; KS skipped",)
+
     def test_fixed_rho_reports_raw_moments_only(self):
         cfg = ExperimentConfig(
             params=ModelParams(m=200, pi0=0.5, mu=2.0, rho=0.3),
@@ -389,6 +405,15 @@ class TestToleranceChecks:
         msgs = check_tolerances(distorted)
         assert any("variance_ratio" in v for v in msgs)
         assert any("ks_statistic" in v for v in msgs)
+
+
+    def test_center_violation_detected_on_distorted_law(self):
+        # t* doubled moves the center alone: the variance and KS figures
+        # are the summary's own
+        s = run(SMALL)
+        distorted = dataclasses.replace(s, law=dataclasses.replace(s.law, t_star=2 * s.law.t_star))
+        msgs = check_tolerances(distorted)
+        assert len(msgs) == 1 and msgs[0].startswith("|mean_fdp - center| = ")
 
 
 class TestSerialization:
