@@ -58,6 +58,9 @@ _TINY = np.finfo(float).tiny
 _RESIDUAL_TOL = 1e-12
 _NEAR_ONE = ("alpha={!r} is within about (1 - pi0) * 1e-10 of 1 at pi0={!r}: t* then lies "
              "within 1e-10 of 1, where its sign-pattern check has no room")
+_H_ROUNDING = 4 * float(np.finfo(float).eps)
+_ROUNDED = ("alpha={!r} is so close to 1 at pi0={!r} that h = G(t) - t/alpha right of t* "
+            "is within its rounding error {:.1e}: the sign-pattern check cannot tell its sign")
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,12 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     ``scipy.optimize`` (about 23 MB of resident memory and 0.3 s).
 
     Raises :class:`ParameterError` if t* lies within 1e-10 of 1 (1 - t* is
-    about (1 - alpha) / (1 - pi0)), :class:`FixedPointUnderflowError` if h
-    is not positive anywhere above 1e-290, so that t* is below double range,
-    and :class:`BracketingError` if h is NaN, the root search fails or the
-    sign-pattern check around the root fails, which indicates a bug or a
-    pathological parameter set, not a recoverable condition.
+    about (1 - alpha) / (1 - pi0)) or h right of t* reads >= 0 but within
+    4 eps / alpha, a bound on its rounding near 1 (the three roundings of G
+    and G1's few ulp, each below 1, plus half an ulp of 1/alpha);
+    :class:`FixedPointUnderflowError` if h <= 0 down to 1e-290; and
+    :class:`BracketingError` if h is NaN or the root search or sign-pattern
+    check fails, which indicates a bug or a pathological parameter set.
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -252,7 +256,9 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     signs = (cdf(grid) - grid / alpha).tolist()
     if any(v <= 0.0 for v in signs[:8]):
         raise BracketingError("sign pattern left of the fixed point is not positive")
-    if any(v >= 0.0 for v in signs[8:]):
+    if (right := max(signs[8:])) >= 0.0:
+        if right <= _H_ROUNDING / alpha:
+            raise ParameterError(_ROUNDED.format(alpha, cdf.pi0, _H_ROUNDING / alpha))
         raise BracketingError("sign pattern right of the fixed point is not negative")
     return root
 

@@ -15,18 +15,17 @@ Raw FDP moments are always reported; theory fields are absent when no
 regime is declared or when the declared regime has no normal limit (fixed
 rho without the oracle transform).
 
-Replicates are processed in blocks of B = max(1, 16384 // m) rows: one
-(B, m) array is drawn (row i from its own stream), put through the params'
-transform (the oracle rescaling, or the identity) and handed to the
-procedure, which tallies each row on the statistics.  The run and the
-e.c.d.f. covariance probe share the draw, model._draw_blocks; the probe
-counts each grid point with a FixedThreshold, which holds its cut's
-rounding band.
+Replicates are processed in blocks of B = max(1, 32768 // m) rows (256 KiB
+of float64; model._BLOCK_ELEMS): one (B, m) array is drawn (row i from its
+own stream), put through the params' transform (the oracle rescaling, or
+the identity) and handed to the procedure, which tallies each row on the
+statistics.  The run and the e.c.d.f. covariance probe share the draw,
+model._draw_blocks; the probe counts each grid point with a
+FixedThreshold, which holds its cut's rounding band.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -279,7 +278,7 @@ class RateStudyResult:
 
     def write_csv(self, path) -> None:
         table = self.table()
-        _write_csv(path, list(table[0]), (row.values() for row in table))
+        _write_csv(path, list(table[0]), [[row[k] for row in table] for k in table[0]])
 
 
 def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:
@@ -441,14 +440,13 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_csv(path, header: list, rows) -> None:
-    """A CSV table: the header, then one line per row, None as an empty
-    field.  Values are Python numbers, so a float is written as its repr;
-    numpy columns come through .tolist()."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(["" if v is None else v for v in row] for row in rows)
+def _write_csv(path, header: list, columns) -> None:
+    """A CSV table from its columns of numbers, as csv.writer writes it: the
+    header, then one line per row, each ended by "\r\n", None as an empty
+    field and a number as its str (numpy columns come through .tolist())."""
+    cells = (["" if v is None else str(v) for v in c] for c in columns)
+    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
+    Path(path).write_text("\r\n".join(lines), newline="")
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
@@ -463,10 +461,10 @@ def write_replicates_csv(summary: ExperimentSummary, path) -> None:
     scaled = [None] * R if scaled is None else scaled.tolist()
     columns = (summary.fdp, summary.thresholds, summary.rejected, summary.false_rejections)
     fdp, thresholds, rejected, false_rej = (c.tolist() for c in columns)
-    _write_csv(path, header, zip(range(R), fdp, scaled, thresholds, rejected, false_rej))
+    _write_csv(path, header, [range(R), fdp, scaled, thresholds, rejected, false_rej])
 
 
 def write_sample_csv(s: Sample, path) -> None:
     """Debug dump: one row per hypothesis with header ``index,tau,x,p``."""
     columns = (s.tau.astype(int), s.x, s.p)
-    _write_csv(path, ["index", "tau", "x", "p"], zip(range(s.m), *(c.tolist() for c in columns)))
+    _write_csv(path, ["index", "tau", "x", "p"], [range(s.m), *(c.tolist() for c in columns)])

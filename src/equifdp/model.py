@@ -336,9 +336,10 @@ def _check_streams(seed: int, first: int, count: int) -> None:
 # --- sampling ----------------------------------------------------------------
 
 
-# float64 elements per block array: about 128 KB, so a block stays in cache
-# and peak memory does not grow with R
-_BLOCK_ELEMS = 16384
+# float64 elements per block array: 256 KiB, so a block stays in cache and
+# peak memory does not grow with R; at m = 1e3 a run slowed by a fifth from
+# 32 to 49 rows per block (the README gives the sweep)
+_BLOCK_ELEMS = 32768
 
 # stream ids whose PCG64 states one _stream_states call computes: enough to
 # spread the call's fixed cost, few enough that memory does not grow with R

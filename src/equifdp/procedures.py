@@ -61,11 +61,11 @@ class BH:
         the p-values p = _p_values(x), 0 where no order statistic clears its
         line; the k smallest p-values are rejected, however alpha*k/m rounds.
 
-        The i-th largest statistic is compared with the band of line i.
-        Where it clears its band for i = k and falls below it for every
-        i > k, k is exact, and the k largest statistics are rejected: the
-        (k+1)-th lies below lo_(k+1) <= lo_k <= hi_k, so none ties with the
-        k-th.  A row with an order statistic inside a band above k goes
+        The i-th largest statistic is compared with the band of line i.  k
+        is the last line whose statistic clears lo, so none above k clears
+        hi; where the k-th also clears hi_k, k is exact, and the k largest
+        are rejected: the (k+1)-th lies below lo_(k+1) <= lo_k <= hi_k, so
+        none ties with the k-th.  A row whose k-th lies inside its band goes
         through the exact step-up on its p-values and rejects p <= p_(k).
         """
         m = x.shape[1]
@@ -73,11 +73,11 @@ class BH:
             self._bands[m] = _x_band(self._lines(m)[::-1])
         lo, hi = self._bands[m]
         xs = np.sort(x, axis=1)  # column j: the (m - j)-th largest, against line m - j
-        k = _last_line(xs >= hi)
-        # the k-th largest statistic; k = 0 rejects nothing
-        kth = np.where(k > 0, xs[np.arange(k.size), (m - k) % m], np.inf)
+        k = _last_line(xs >= lo)
+        col = (m - k) % m  # the k-th largest's column; k = 0 rejects nothing
+        kth = np.where(k > 0, xs[np.arange(k.size), col], np.inf)
         false_hits = x[:, :m0] >= kth[:, None]
-        unsure = np.flatnonzero(_last_line(xs >= lo) != k)
+        unsure = np.flatnonzero(kth < hi[col])
         if unsure.size:
             p = _p_values(x[unsure])
             k[unsure], cut = self._step_up(np.sort(p, axis=1))

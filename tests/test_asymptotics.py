@@ -246,6 +246,27 @@ class TestFixedPoint:
         t = bh_fixed_point(MixtureCdf(0.5, 2.0), 1 - 10**-10.25)
         assert repr(t) == "0.9999999998875317"
 
+    def test_alpha_near_one_sweep_gives_a_root_or_a_parameter_error(self):
+        # 161 alpha in 1 - 10**-[8, 16] at pi0 = 0.999999: 1 - t* is about
+        # 1e6 * (1 - alpha), clear of 1e-10, but from 1 - alpha = 1.3e-15 on
+        # the largest h on the sign check's right grid (by concavity at most
+        # 0.05 * (1/alpha - 1) at its first point) reads 0, within its
+        # rounding 4 eps / alpha
+        cdf = MixtureCdf(0.999999, 2.0)
+        outcomes = []
+        for alpha in (1 - 10 ** -np.linspace(8, 16, 161)).tolist():
+            try:
+                t = bh_fixed_point(cdf, alpha)
+            except ParameterError as exc:
+                assert "the sign-pattern check cannot tell its sign" in str(exc)
+                outcomes.append("lost to rounding")
+            else:
+                assert abs(cdf(t) - t / alpha) <= 1e-12 * t / alpha
+                outcomes.append("root")
+        assert outcomes == ["root"] * 138 + ["lost to rounding"] * 23
+        with pytest.raises(ParameterError, match="rounding error 8.9e-16"):
+            bh_fixed_point(cdf, 0.9999999999999988)
+
 
 @dataclasses.dataclass(frozen=True)
 class _Lifted(MixtureCdf):

@@ -47,9 +47,16 @@ from oracles import bh_threshold_scan_k, fdp_recount, group_counts, p_values
 
 SEED = 20260808
 
-# replicates per m: R is not a multiple of the block size max(1, 16384 // m),
-# and at m = 5001 (3 rows per block) the last block has a single row
-R_AT = {2: 40, 3: 40, 1000: 19, 5001: 4}
+
+def block_rows(m):
+    """Rows per block at width m, as model._draw_blocks sizes them."""
+    return max(1, equifdp.model._BLOCK_ELEMS // m)
+
+
+# replicates per m: R is not a multiple of the block size; at m = 1000 a run
+# at one worker spans two blocks, the last partial, and at m = 5001 the last
+# block has a single row
+R_AT = {2: 40, 3: 40, 1000: block_rows(1000) + 3, 5001: block_rows(5001) + 1}
 
 
 def naive_replicate(config, stream_id):
@@ -109,13 +116,14 @@ def test_run_equals_naive_per_replicate(m, rho, procedure, oracle, workers):
 
 
 def test_state_chunks_split_the_range(monkeypatch):
-    # stream states are computed per chunk of whole blocks: at m = 2000 (8
-    # rows per block) a chunk of 20 ids holds 2 blocks, and R = 37 ends in a
-    # partial chunk
-    monkeypatch.setattr(equifdp.model, "_STATE_CHUNK", 20)
+    # stream states are computed per chunk of whole blocks: at m = 2000 a
+    # chunk of 2.5 blocks' ids holds 2 blocks, and R = 4 blocks + 5 rows ends
+    # in a partial chunk whose one block is partial
+    rows = block_rows(2000)
+    monkeypatch.setattr(equifdp.model, "_STATE_CHUNK", 2 * rows + rows // 2)
     config = ExperimentConfig(
         params=ModelParams(m=2000, pi0=0.5, mu=2.0, rho=0.3), procedure=BH(0.2),
-        replicates=37, seed=SEED,
+        replicates=4 * rows + 5, seed=SEED,
     )
     s = run(config, stream_offset=3)
     want = [naive_replicate(config, 3 + r) for r in range(config.replicates)]
@@ -262,12 +270,12 @@ def test_oracle_bh_run_computes_each_band_once(monkeypatch):
 
 
 def test_probe_computes_each_band_once(monkeypatch):
-    # 65 cuts over 3 blocks of m = 1000 (16, 16 and 8 rows): each cut's band
-    # is computed once for the probe, not once per block
+    # 65 cuts over 3 blocks of m = 1000 (two full and a half): each cut's
+    # band is computed once for the probe, not once per block
     seen = _count_x_band(monkeypatch, equifdp.procedures)
     params = ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.1)
-    assert equifdp.model._BLOCK_ELEMS // params.m == 16
-    ecdf_covariance_probe(params, np.linspace(0.005, 0.995, 65), 40, seed=SEED)
+    rows = block_rows(params.m)
+    ecdf_covariance_probe(params, np.linspace(0.005, 0.995, 65), 2 * rows + rows // 2, seed=SEED)
     assert sum(seen) == 65
 
 

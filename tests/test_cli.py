@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import equifdp
+import equifdp.model
 from equifdp import cli
 
 
@@ -478,6 +479,9 @@ USAGE_ERRORS = [
     # t* within 1e-10 of 1 at pi0 = 0.5: 1 - t* is 2e-11, and 2e-15 (above 1 - 1e-14)
     ("theory --theta 0 --alpha 0.99999999999", "within about (1 - pi0) * 1e-10 of 1"),
     ("simulate --theta 0 --alpha 0.999999999999999", "within about (1 - pi0) * 1e-10 of 1"),
+    # 1 - t* is 1.2e-9 at pi0 = 0.999999, but h right of t* is lost to rounding
+    ("theory --theta 0 --pi0 0.999999 --alpha 0.9999999999999988",
+     "the sign-pattern check cannot tell its sign"),
     # pi0 * t below the normal floats: G1(t) underflows to 0 at mu = 0.5
     ("theory --theta 0 --mu 0.5 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
     ("simulate --theta 0 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
@@ -590,6 +594,14 @@ def test_output_bytes_are_pinned(name, tmp_path):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 0
     written = (tmp_path / "out").iterdir()
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in written} == digests
+
+
+@pytest.mark.parametrize("block_elems", [1, 16384, 32768])
+@pytest.mark.parametrize("name", list(OUTPUT_PINS))
+def test_output_bytes_do_not_depend_on_the_block_size(name, block_elems, tmp_path, monkeypatch):
+    # one row per block, the earlier 16384 values, and the 256 KiB block
+    monkeypatch.setattr(equifdp.model, "_BLOCK_ELEMS", block_elems)
+    test_output_bytes_are_pinned(name, tmp_path)
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Model parameter validation, sampler distributional checks, and the
 group counts of the kernel's tally."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -324,3 +325,20 @@ def test_sample_csv_dump(tmp_path):
     assert int(tau) == int(s.tau[2])
     assert float(x) == s.x[2]
     assert float(p) == s.p[2]
+
+
+# sha256 of the file, recorded when csv.writer wrote it: each line ends in
+# "\r\n", and a float is written as its shortest repr
+SAMPLE_CSV_PINS = {
+    (5, 0.5, 1.0, 0.0, 21): "1503a11d7b010cb66f74ab77f1bedd44ef7b975bfc88d8ca56017d77d872f4f2",
+    (1000, 0.5, 2.0, 0.3, 7): "8b206575440d723e5a154f2848e7fd0086339d52b984d5ab7b2b3c15fdb52b7f",
+}
+
+
+@pytest.mark.parametrize("m,pi0,mu,rho,seed", list(SAMPLE_CSV_PINS))
+def test_sample_csv_bytes_are_pinned(m, pi0, mu, rho, seed, tmp_path):
+    s = sample(ModelParams(m=m, pi0=pi0, mu=mu, rho=rho), RngStream(seed, 0))
+    path = tmp_path / "sample.csv"
+    write_sample_csv(s, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SAMPLE_CSV_PINS[m, pi0, mu, rho, seed]
