@@ -151,17 +151,6 @@ def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
-def _fill_replicates(config: ExperimentConfig, first_stream: int, out) -> None:
-    """Fill the per-replicate arrays `out` (threshold, rejected,
-    false_rejections, fdp), row r from stream first_stream + r, block by
-    block."""
-    params = config.params
-    for lo, hi, x in _draw_blocks(params.base, config.seed, first_stream, out[0].shape[0]):
-        rows = _apply_procedure_rows(config.procedure, params.transform(x), params.base.m0)
-        for dst, src in zip(out, rows):
-            dst[lo:hi] = src
-
-
 def _law_for(config: ExperimentConfig) -> tuple[Optional[AsymptoticLaw], tuple[str, ...]]:
     """(law, warnings) of a run, the law None where there is none.
 
@@ -207,7 +196,12 @@ def _run(config: ExperimentConfig, workers: int, stream_offset: int, solved) -> 
     thresholds, rejected, false_rej, fdp = out
 
     def fill(lo, hi):
-        _fill_replicates(config, stream_offset + lo, [a[lo:hi] for a in out])
+        # replicates lo..hi-1 from streams stream_offset + lo on, block by block
+        params = config.params
+        for b_lo, b_hi, x in _draw_blocks(params.base, config.seed, stream_offset + lo, hi - lo):
+            rows = _apply_procedure_rows(config.procedure, params.transform(x), params.base.m0)
+            for dst, src in zip(out, rows):
+                dst[lo + b_lo : lo + b_hi] = src
 
     if workers <= 1:
         fill(0, R)

@@ -112,8 +112,9 @@ class RngStream:
     distinct stream_ids give statistically independent streams.  Replicate r
     of an experiment conventionally uses stream_id = r.  The stream is numpy's
     PCG64 seeded by ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``,
-    which :meth:`generator` builds; the kernel computes the same states of
-    many ids in bulk (see :func:`_stream_states`).
+    which :meth:`generator` builds; the kernel computes the seed sequence's
+    words of many ids in bulk (see :func:`_stream_words`) and seeds PCG64
+    from them.
     """
 
     seed: int
@@ -251,14 +252,13 @@ RhoSequence = Union[ThetaOverM, PowerLaw, FixedRho]
 #
 # Stream (seed, id) is numpy's PCG64 seeded by
 # SeedSequence(entropy=seed, spawn_key=(id,)).  Numpy builds one stream, and
-# the seed's hash pool for all; the kernel computes the rest for many ids in
-# bulk: the spawn-key hashes, generate_state, then PCG64's srandom, with
-# plain operators masked to 32 bits on uint64 arrays of ids.
+# the seed's hash pool for all; the kernel computes the rest of the seed
+# sequence for many ids in bulk: the spawn-key hashes and generate_state,
+# with plain operators masked to 32 bits on uint64 arrays of ids.  PCG64
+# seeds itself from those words.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -294,17 +294,11 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _srandom(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> tuple[int, int]:
-    """PCG64's srandom: state 0, inc = (seq << 1) | 1, step, add the initial
-    state, step."""
-    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-    return (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
-
-
-def _stream_states(seed: int, ids: np.ndarray) -> list:
-    """PCG64 (state, inc) of each stream (seed, id), bit-identical to
-    ``PCG64(SeedSequence(entropy=seed, spawn_key=(id,)))``, for a uint64
-    array of ids.  Seed and ids must lie in [0, 2**64).
+def _stream_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """C-contiguous (ids, 4) uint64 array whose row i is
+    ``SeedSequence(entropy=seed, spawn_key=(ids[i],)).generate_state(4,
+    np.uint64)``, for a uint64 array of ids.  Seed and ids must lie in
+    [0, 2**64).
     """
     # the keyed pool before its key: the seed's words, 0-padded to 4, hashed and mixed
     seed_pool = np.random.SeedSequence(int(seed)).pool.astype(np.uint64)[:, None]
@@ -313,17 +307,19 @@ def _stream_states(seed: int, ids: np.ndarray) -> list:
     if wide.any():
         pool = np.where(wide > 0, _mix(pool, _hash(wide, _KEY_HASHES_2)), pool)
     w = _hash(np.tile(pool, (2, 1)), _STATE_HASHES)
-    # generate_state's 64-bit words: initial state (hi, lo), sequence (hi, lo)
-    return [_srandom(*q) for q in zip(*(w[0::2] | w[1::2] << 32).tolist())]
+    # 32-bit words paired low first; PCG64 reads each row raw from its buffer
+    return np.ascontiguousarray((w[0::2] | w[1::2] << 32).T)
 
 
-class _Unseeded(ISeedSequence):
-    """Hands PCG64 zero words, so the kernel's generator is built without
-    numpy's seeding, which would cost each `sample()` about 10 us; each row
-    sets its state from :func:`_stream_states`."""
+class _Words(ISeedSequence):
+    """One row of :func:`_stream_words`, handed to PCG64, which runs its own
+    srandom on it; the row must be a contiguous uint64 view."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype=dtype)
+        return self.words
 
 
 def _check_streams(seed: int, first: int, count: int) -> None:
@@ -341,25 +337,23 @@ def _check_streams(seed: int, first: int, count: int) -> None:
 # 32 to 49 rows per block (the README gives the sweep)
 _BLOCK_ELEMS = 32768
 
-# stream ids whose PCG64 states one _stream_states call computes: enough to
+# stream ids whose seed words one _stream_words call computes: enough to
 # spread the call's fixed cost, few enough that memory does not grow with R
 _STATE_CHUNK = 1024
 
 
 def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
     """(lo, hi, x) of each block of rows lo..hi-1 of n instances of the
-    model, row r from stream (seed, first + r), with one generator.
+    model, row r from stream (seed, first + r).
 
-    A block holds max(1, _BLOCK_ELEMS // m) rows; the PCG64 states are
+    A block holds max(1, _BLOCK_ELEMS // m) rows; the seed words are
     computed once per chunk of whole blocks.  Draw order is fixed as part of
     the reproducibility contract: each stream gives m variates for xi, then
     one for the common factor U, so a row is the same bit for bit whatever
     block it is drawn in.
     """
     m, rho, mu, m0 = params.m, params.rho, params.mu, params.m0
-    bits, step = np.random.PCG64(_Unseeded()), max(1, _BLOCK_ELEMS // m)
-    rng = np.random.Generator(bits)
-    pcg64 = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # a row adds its state
+    step = max(1, _BLOCK_ELEMS // m)
     chunk = step * max(1, _STATE_CHUNK // step)
     scale = math.sqrt(1.0 - rho)
     # the common factor vanishes at the boundary rho = -1/(m-1), where the
@@ -367,12 +361,12 @@ def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
     common_sd = 0.0 if rho == -1.0 / (m - 1) else math.sqrt((1.0 + (m - 1) * rho) / m)
     for c_lo in range(0, n, chunk):
         c_hi = min(c_lo + chunk, n)
-        states = _stream_states(seed, np.arange(first + c_lo, first + c_hi, dtype=np.uint64))
+        words = _stream_words(seed, np.arange(first + c_lo, first + c_hi, dtype=np.uint64))
         for lo in range(c_lo, c_hi, step):
             hi = min(lo + step, c_hi)
             x, u = np.empty((hi - lo, m)), np.empty((hi - lo, 1))
-            for row, u_row, (state, inc) in zip(x, u, states[lo - c_lo : hi - c_lo]):
-                bits.state = pcg64 | {"state": {"state": state, "inc": inc}}
+            for row, u_row, w in zip(x, u, words[lo - c_lo : hi - c_lo]):
+                rng = np.random.Generator(np.random.PCG64(_Words(w)))
                 rng.standard_normal(out=row)
                 u_row[0] = rng.standard_normal()
             x -= x.mean(axis=1, keepdims=True)

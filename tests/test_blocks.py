@@ -279,6 +279,26 @@ def test_probe_computes_each_band_once(monkeypatch):
     assert sum(seen) == 65
 
 
+def test_seeds_each_chunk_once_and_each_row_from_its_words(monkeypatch):
+    # 2.5 state chunks at m = 1000: numpy's SeedSequence is built once per
+    # chunk, for the seed's pool, and PCG64 once per row from the port's
+    # words; numpy's own per-id seeding would build a SeedSequence per row
+    built = {"SeedSequence": 0, "PCG64": 0}
+    for name in built:
+
+        def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    params = ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.1)
+    rows = block_rows(params.m)
+    chunk = rows * max(1, equifdp.model._STATE_CHUNK // rows)
+    R = 2 * chunk + chunk // 2
+    run(ExperimentConfig(params=params, procedure=BH(0.2), replicates=R, seed=SEED))
+    assert built == {"SeedSequence": 3, "PCG64": R}
+
+
 def test_bh_keeps_the_bands_of_its_own_lines(monkeypatch):
     # a BH computes the bands of a width once, over any number of runs; an
     # equal BH computes its own

@@ -22,7 +22,7 @@ from equifdp import (
     sample,
     write_sample_csv,
 )
-from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _stream_states
+from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _stream_words, _Words
 from equifdp.procedures import _apply_procedure_rows
 from oracles import P_MAX, GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
 
@@ -141,35 +141,44 @@ PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 20260808, 2**64 - 1]
 PORT_IDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 2, 2**64 - 1]
 
 
-def numpy_state(seed, stream_id):
-    """PCG64 (state, inc) of the stream built by numpy's own SeedSequence."""
-    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
-    state = np.random.PCG64(seeds).state["state"]
-    return state["state"], state["inc"]
+def assert_words(seed, ids):
+    """_stream_words of a uint64 array of ids is numpy's generate_state(4,
+    np.uint64), one row per id, as a C-contiguous (n, 4) uint64 array."""
+    got = _stream_words(seed, ids)
+    assert got.shape == (ids.size, 4) and got.dtype == np.uint64
+    assert got.flags.c_contiguous
+    for i, row in zip(ids.tolist(), got):
+        seeds = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        assert np.array_equal(row, seeds.generate_state(4, np.uint64))
 
 
 class TestSeedingPort:
-    """_stream_states against the installed numpy: a drift guard for the
-    kernel's port of SeedSequence -> PCG64 seeding."""
+    """_stream_words against the installed numpy: a drift guard for the
+    kernel's port of SeedSequence's spawn-key hashing and generate_state."""
 
     @pytest.mark.parametrize("seed", PORT_SEEDS)
     @pytest.mark.parametrize("stream_id", PORT_IDS)
     def test_scalar_path_matches_numpy(self, seed, stream_id):
         # the one-id call that sample() makes
-        ids = np.uint64([stream_id])
-        assert _stream_states(seed, ids) == [numpy_state(seed, stream_id)]
+        assert_words(seed, np.uint64([stream_id]))
 
     @pytest.mark.parametrize("seed", PORT_SEEDS)
     def test_array_path_matches_numpy(self, seed):
         # one call holds ids of one and of two 32-bit words, on both sides of 2**32
-        ids = np.array([*range(2**32 - 3, 2**32 + 3), *PORT_IDS], dtype=np.uint64)
-        assert _stream_states(seed, ids) == [numpy_state(seed, i) for i in ids.tolist()]
+        assert_words(seed, np.array([*range(2**32 - 3, 2**32 + 3), *PORT_IDS], dtype=np.uint64))
+
+    @pytest.mark.parametrize("seed", PORT_SEEDS)
+    def test_pcg64_state_matches_numpy(self, seed):
+        # PCG64 seeded through _Words from each row is numpy's whole seeding
+        ids = np.array(PORT_IDS, dtype=np.uint64)
+        for stream_id, row in zip(PORT_IDS, _stream_words(seed, ids)):
+            seeds = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+            assert np.random.PCG64(_Words(row)).state == np.random.PCG64(seeds).state
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))
     def test_state_matches_numpy(self, seed, stream_id):
-        ids = np.array([stream_id], dtype=np.uint64)
-        assert _stream_states(seed, ids) == [numpy_state(seed, stream_id)]
+        assert_words(seed, np.array([stream_id], dtype=np.uint64))
 
 
 class TestSampler:
