@@ -59,6 +59,7 @@ _RESIDUAL_TOL = 1e-12
 _NEAR_ONE = ("alpha={!r} is within about (1 - pi0) * 1e-10 of 1 at pi0={!r}: t* then lies "
              "within 1e-10 of 1, where its sign-pattern check has no room")
 _H_ROUNDING = 4 * float(np.finfo(float).eps)
+_GRID_K = np.arange(8) / 7  # the sign-pattern grid's exponents
 _ROUNDED = ("alpha={!r} is so close to 1 at pi0={!r} that h = G(t) - t/alpha right of t* "
             "is within its rounding error {:.1e}: the sign-pattern check cannot tell its sign")
 
@@ -192,7 +193,8 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     Uniqueness is then checked on 16 points: h must be positive at 8
     geometric points from the left end to t*/2 and negative at 8 even
     points from t* + (1 - t*)/20 to 1 - 1e-10, all evaluated in one array
-    call of G.
+    call of G.  The points only decide signs, so :func:`_sign_grid` builds
+    them in closed form rather than as numpy's geomspace and linspace.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats, handed the values of h at the bracket ends that the
@@ -264,21 +266,12 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
 
 
 def _sign_grid(left: float, root: float) -> np.ndarray:
-    """The 16 points of the sign-pattern check, bit for bit
-    ``np.geomspace(left, root * 0.5, 8)`` then
-    ``np.linspace(root + 0.05 * (1 - root), 1 - 1e-10, 8)``, without their
-    per-call overhead: numpy's exponents and points are ``k * step + start``
-    in float64, which Python floats reproduce; the logarithms and the power
-    are the same ufuncs on the same shapes, and the endpoints are set
-    exactly, as numpy sets them."""
-    half = root * 0.5
-    lo, hi = float(np.log10(left)), float(np.log10(half))
-    step = (hi - lo) / 7
-    left_grid = np.power(10.0, np.array([k * step + lo for k in range(7)] + [hi]))
-    left_grid[0], left_grid[7] = left, half
-    start, stop = root + 0.05 * (1.0 - root), 1.0 - 1e-10
-    step = (stop - start) / 7
-    return np.concatenate((left_grid, [k * step + start for k in range(7)] + [stop]))
+    """The 16 points of the sign-pattern check: 8 geometric points from
+    `left` to root/2, then 8 even points from root + (1 - root)/20 to
+    1 - 1e-10, both in closed form on the exponents k/7, k = 0..7."""
+    start = root + 0.05 * (1.0 - root)
+    left_grid = left * (root * 0.5 / left) ** _GRID_K
+    return np.concatenate((left_grid, start + (1.0 - 1e-10 - start) * _GRID_K))
 
 
 # --- point-mass weights and the two variance components ---------------------
@@ -334,12 +327,25 @@ def variance_components(
     The two variance terms are the Brownian-bridge variances of the group
     e.c.d.f.s at t* (the second under the time change G1).  c**2 is the
     case-(ii) limit variance.
+
+    Raises :class:`ParameterError` if, for a nonzero z0, the null term's
+    product z0 * t*(1 - t*) * z0, of order pi0**2, or a nonzero c**2 falls
+    below the normal floats (at BH(0.2) and mu = 2, pi0 below about
+    1e-154): sigma2 or c**2 would then lose digits or all of them.  A c**2
+    that rounds to 0 is a zero case-(ii) variance, for which a run skips
+    its KS.
     """
     z = phi_upper_inv(t_star)
     c = z0 * std_normal_density(z) + z1 * std_normal_density(z - cdf.mu)
     g1 = cdf.alt_cdf(t_star)
     # (z * k) * z with k = t - t*t: the pinned law digests depend on this order
-    null_term = z0 * (t_star - t_star * t_star) * z0 / cdf.pi0
+    null_term = z0 * (t_star - t_star * t_star) * z0
+    if (z0 != 0.0 and null_term < _TINY) or 0.0 < c * c < _TINY:
+        raise ParameterError(
+            f"a variance component underflows below the normal floats at pi0={cdf.pi0!r}, "
+            f"t_star={t_star!r}: z0**2 * t*(1 - t*) = {null_term:.1e}, c**2 = {c * c:.1e}"
+        )
+    null_term /= cdf.pi0
     alt_term = z1 * (g1 - g1 * g1) * z1 / (1.0 - cdf.pi0)
     return c, null_term + alt_term
 

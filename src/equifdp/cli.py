@@ -259,7 +259,8 @@ def _cmd_theory(args) -> int:
     if args.out is not None:
         outdir = _outdir(args)
         _write_json(outdir / "theory.json", report)
-        _echo_config(outdir, args, report["params"] | {"procedure": report["procedure"]})
+        echo = {"procedure": report["procedure"], "rho_seq": rho_seq.to_dict()}
+        _echo_config(outdir, args, report["params"] | echo)
     return EXIT_OK
 
 

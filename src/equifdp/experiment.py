@@ -151,46 +151,33 @@ def ks_statistic_normal(values: np.ndarray, sd: float) -> float:
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
-def _law_for(config: ExperimentConfig) -> tuple[Optional[AsymptoticLaw], tuple[str, ...]]:
-    """(law, warnings) of a run, the law None where there is none.
-
-    The mixture is the params' own, and the regime, which the law carries
-    for a_m, is the declared one or else the params' own (OracleParams'
-    theta = -1).  Across a rate study's grid the mixture, the procedure and
-    the regime stay the same, so the law does too.
-    """
-    regime = config.rho_seq or config.params.rho_seq
-    if regime is None:
-        return None, ("no correlation regime declared; theory fields absent",)
-    try:
-        return asymptotic_law(config.params.cdf, config.procedure, regime), ()
-    except RegimeError as exc:
-        return None, (f"regime warning: {exc}",)
-
-
 def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> ExperimentSummary:
     """Execute the replicated experiment; deterministic given config alone.
 
+    The law is the params' mixture under the declared regime, or else the
+    params' own (OracleParams' theta = -1); it is solved before any
+    replicate, so a law the library rejects fails first, and a regime with
+    no normal limit leaves the theory fields absent with a warning.
     min(`workers`, R) threads split the replicate range into contiguous
     chunks, and each fills its chunk block by block (see the module
     docstring); an integer `workers` <= 1 runs in the calling thread.  Every
     replicate owns its own stream, and aggregation folds in replicate index
     order, so the summary is bit-identical for any worker count and block size.
     """
-    return _run(config, workers, stream_offset, None)
-
-
-def _run(config: ExperimentConfig, workers: int, stream_offset: int, solved) -> ExperimentSummary:
-    """:func:`run`, given `solved`, the (law, warnings) of ``_law_for(config)``
-    where the caller has solved it already, or None."""
     if not _is_int(workers):
         raise ParameterError(f"workers must be an integer, got {workers!r}")
     R = config.replicates
     workers = min(workers, R)
     _check_streams(config.seed, stream_offset, R)
-    # a law the library rejects fails before any replicate
-    law, warnings = _law_for(config) if solved is None else solved
-    warnings = list(warnings)
+    law, warnings = None, []
+    regime = config.rho_seq or config.params.rho_seq
+    if regime is None:
+        warnings.append("no correlation regime declared; theory fields absent")
+    else:
+        try:
+            law = asymptotic_law(config.params.cdf, config.procedure, regime)
+        except RegimeError as exc:
+            warnings.append(f"regime warning: {exc}")
     a_m = None if law is None else law.rho_seq.a_m(config.params.base.m)
     out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
     thresholds, rejected, false_rej, fdp = out
@@ -284,16 +271,16 @@ def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:
 def rate_study(config: ExperimentConfig, workers: int = 1) -> RateStudyResult:
     """Run the experiment on every m of config.m_grid.
 
-    Each row uses a disjoint block of stream ids (row j starts at
-    j * replicates), so rows are statistically independent and the whole
-    study is reproducible from the single seed.
+    Row j is :func:`run` at m_j from stream j * replicates, so rows use
+    disjoint blocks of stream ids, are statistically independent, and the
+    whole study is reproducible from the single seed.  The law does not
+    depend on m, so every row solves the same one.
     """
     if config.m_grid is None:
         raise ParameterError("rate_study requires m_grid")
-    solved = _law_for(config)  # the law does not depend on m: solved once for every row
     return RateStudyResult(
         rows=tuple(
-            _run(_config_at_m(config, m), workers, j * config.replicates, solved)
+            run(_config_at_m(config, m), workers, j * config.replicates)
             for j, m in enumerate(config.m_grid)
         )
     )

@@ -523,6 +523,20 @@ class TestAsymptoticLaw:
             law = asymptotic_law(MixtureCdf(0.5, 2.0), FixedThreshold(1e-300), ThetaOverM(0.0))
         assert law.sigma2 == pytest.approx(SIGMA2_TINY_T_REF, rel=1e-10)
 
+    @pytest.mark.parametrize("pi0", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("procedure", [BH(0.2), FixedThreshold(0.05)])
+    def test_underflowing_null_term_rejected(self, pi0, procedure):
+        # z0 * t*(1 - t*) * z0 is of order pi0**2: subnormal at 1e-160, 0 below
+        with pytest.raises(ParameterError, match="a variance component underflows"):
+            asymptotic_law(MixtureCdf(pi0, 2.0), procedure, ThetaOverM(0.0))
+
+    def test_subnormal_c_squared_rejected(self):
+        # at t = 1e-20 and pi0 = 1e-152 the null product is 2.8e-299, but
+        # c**2 is 1.1e-318, a subnormal with 4 digits left
+        cdf = MixtureCdf(1e-152, 2.0)
+        with pytest.raises(ParameterError, match=r"c\*\*2 = 1\.1e-318"):
+            asymptotic_law(cdf, FixedThreshold(1e-20), PowerLaw(1.0, 0.5))
+
     @pytest.mark.parametrize("mu,t", [(0.5, 1e-320), (1.0, 5e-324)])
     def test_subnormal_null_mass_at_the_threshold_rejected(self, mu, t):
         # G1(1e-320) underflows to 0 at mu = 0.5; at 5e-324, pi0 * t rounds to 0
@@ -582,13 +596,7 @@ def test_small_mu_outcome_pin():
     assert h.hexdigest() == SMALL_MU_PIN
 
 
-def _numpy_sign_grid(left, root):
-    return np.concatenate(
-        (np.geomspace(left, root * 0.5, 8), np.linspace(root + 0.05 * (1.0 - root), 1.0 - 1e-10, 8))
-    )
-
-
-def test_sign_grid_is_numpys_bit_for_bit(monkeypatch):
+def test_sign_grid_lies_on_each_side_of_the_root(monkeypatch):
     # the brackets bh_fixed_point builds on the digest and small-mu grids,
     # then random ones: slid left ends, and roots within 2x of the left end
     brackets = []
@@ -614,10 +622,10 @@ def test_sign_grid_is_numpys_bit_for_bit(monkeypatch):
         brackets.append((left, left ** rng.uniform(0.0, 1.0)))
         brackets.append((left, left * rng.uniform(1.0, 2.0)))
     for left, root in brackets:
-        assert _sign_grid(left, root).tobytes() == _numpy_sign_grid(left, root).tobytes(), (
-            left,
-            root,
-        )
+        grid = _sign_grid(left, root)
+        assert grid.shape == (16,) and np.isfinite(grid).all(), (left, root)
+        assert grid[0] == left and (grid[:8] < root).all(), (left, root)
+        assert (grid[8:] > root).all() and (grid[8:] <= 1.0 - 1e-10).all(), (left, root)
 
 
 class TestLimitCov:

@@ -188,6 +188,30 @@ class TestTheory:
         assert load_json((out / "theory.json").read_text())["theory"]["regime"] == "case_i"
         assert load_json((out / "config.json").read_text())["command"] == "theory"
 
+    def test_out_config_echoes_the_regime(self, tmp_path):
+        # the three regimes give three laws, so three different echoes
+        echoes = []
+        for k, regime in enumerate((["--theta", "0"], ["--theta", "4"], ["--case-ii"])):
+            out = tmp_path / str(k)
+            args = ["theory", "--pi0", "0.5", "--mu", "2", "--alpha", "0.2", *regime]
+            assert run_cli(args + ["--out", str(out)]) == 0
+            echoes.append(load_json((out / "config.json").read_text())["rho_seq"])
+        assert echoes == [
+            {"kind": "theta_over_m", "theta": 0.0},
+            {"kind": "theta_over_m", "theta": 4.0},
+            {"kind": "power_law", "c": 1.0, "gamma": 0.5},
+        ]
+
+    def test_tiny_null_weight_matches_the_closed_form(self, capsys):
+        # at pi0 = 1e-150 sigma2's null product z0 * t*(1 - t*) * z0 is about
+        # 1e-300, still a normal float
+        args = ["theory", "--pi0", "1e-150", "--mu", "2", "--alpha", "0.2", "--theta", "0"]
+        assert run_cli(args) == 0
+        report = load_json(capsys.readouterr().out)
+        theory, closed = report["theory"], report["bh_closed_form"]
+        for key in ("sigma2", "c_squared", "variance"):
+            assert theory[key] == pytest.approx(closed[key], rel=1e-12)
+
 
 SIM_ARGS = [
     "simulate", "--m", "1000", "--rho", "0", "--pi0", "0.5", "--mu", "2",
@@ -485,6 +509,11 @@ USAGE_ERRORS = [
     # pi0 * t below the normal floats: G1(t) underflows to 0 at mu = 0.5
     ("theory --theta 0 --mu 0.5 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
     ("simulate --theta 0 --threshold 1e-320", "pi0 * t* underflows below the normal floats"),
+    # sigma2's null product, of order pi0**2, below the normal floats:
+    # subnormal at 1e-160, 0 at 1e-200 and 1e-300
+    ("theory --theta 0 --pi0 1e-160", "a variance component underflows below the normal floats"),
+    ("theory --theta 0 --pi0 1e-200", "a variance component underflows below the normal floats"),
+    ("theory --theta 0 --pi0 1e-300", "a variance component underflows below the normal floats"),
 ]
 
 

@@ -32,7 +32,6 @@ from equifdp import (
     write_replicates_csv,
     write_summary_json,
 )
-from equifdp import experiment
 from equifdp.experiment import _write_json
 from oracles import bootstrap_cov_se
 
@@ -307,14 +306,14 @@ class TestRateStudy:
         with pytest.raises(ParameterError):
             rate_study(SMALL)
 
-    def test_law_is_solved_once_for_the_grid(self, monkeypatch):
-        # the law depends on the mixture, procedure and regime, not on m
-        calls, solve = [], experiment.asymptotic_law
-        monkeypatch.setattr(experiment, "asymptotic_law", lambda *a: calls.append(a) or solve(*a))
+    def test_every_row_has_the_configs_law(self):
+        # the law depends on the mixture, procedure and regime, not on m, so
+        # the law each row solves equals the config's
         grid = (400, 800, 1600)
-        rows = rate_study(dataclasses.replace(SMALL, replicates=30, m_grid=grid)).rows
-        assert len(calls) == 1
-        assert all(row.law is rows[0].law for row in rows)
+        config = dataclasses.replace(SMALL, replicates=30, m_grid=grid)
+        law = asymptotic_law(config.params.cdf, config.procedure, config.rho_seq)
+        rows = rate_study(config).rows
+        assert all(row.law == law for row in rows)
         assert [row.a_m for row in rows] == [math.sqrt(m) for m in grid]
         assert all(len(row.warnings) == 1 for row in rows)  # each row's R < 100 note, once
 
