@@ -318,8 +318,8 @@ def ecdf_covariance_probe(
     :func:`equifdp.asymptotics.ecdf_limit_cov`.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise ParameterError("grid must be a nonempty 1-d array inside (0, 1)")
+    if grid.ndim != 1 or grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
+        raise ParameterError(f"grid must be a nonempty 1-d array inside (0, 1), got {grid!r}")
     if not _is_int(replicates) or replicates < 2:
         raise ParameterError(
             f"replicates must be an integer >= 2 for a covariance, got {replicates!r}"

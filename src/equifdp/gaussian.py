@@ -125,7 +125,8 @@ def _p_values(x: np.ndarray) -> np.ndarray:
 # P(Z >= q(g)) within 2**-39 of g; BH's float lines alpha * k / m lie within
 # 2**-50 of the exact lines.  _BAND_REL bounds their sum (< 2**-38.4) with
 # room for the first-order expansion, and _BAND_ABS covers p below the
-# smallest normal float, where erfc is only absolutely accurate.
+# smallest normal float, where erfc is only absolutely accurate.  Inside a
+# band, p need not fall as x grows: a pinned BH row at alpha = 0.3 shows it.
 _BAND_REL = 2.0**-37
 _BAND_ABS = 2.0 * np.finfo(float).tiny
 

@@ -32,15 +32,28 @@ __all__ = ["OracleParams"]
 
 @dataclass(frozen=True)
 class OracleParams:
-    """Known model parameters enabling the rescaling; requires rho in (0, 1)."""
+    """Known model parameters enabling the rescaling; requires rho in (0, 1).
+
+    :meth:`transform` cancels terms of size mu: with u = 2**-53, its row mean
+    rounds by up to (m - 1)*u*mu in the additions (in any order) and u*mu in
+    the division, and x - mean, 1 - pi0, its product with mu, the sum and the
+    product with scale by u*mu each, all times scale.  Where scale*(m + 5)*u*mu
+    exceeds 1e-6 (a null's p-value moves by under 4e-7) the parameters are a
+    ParameterError; this also keeps mu_tilde and the row sum finite.
+    """
 
     base: ModelParams
     rho_seq = ThetaOverM(-1.0)  # the effective regime of the rescaled statistics
 
     def __post_init__(self):
-        if not (0.0 < self.base.rho < 1.0):
+        base = self.base
+        if not (0.0 < base.rho < 1.0):
+            raise ParameterError(f"oracle transform requires rho in (0, 1), got {base.rho!r}")
+        rounding = self.scale * (base.m + 5) * 2.0**-53 * base.mu
+        if not rounding <= 1e-6:
             raise ParameterError(
-                f"oracle transform requires rho in (0, 1), got {self.base.rho!r}"
+                f"mu={base.mu!r} is too large for the oracle rescaling at rho={base.rho!r} and "
+                f"m={base.m}: its rounding may move a statistic by {rounding:.3g} > 1e-06"
             )
 
     @property

@@ -12,8 +12,9 @@ statistics whose first m0 columns are the true nulls, ``t_star(cdf)`` is the
 almost-sure limit of the threshold under a mixture c.d.f., ``t_dot(cdf,
 t_star)`` the weight of its threshold functional's derivative (a point mass
 at t*, or None when the threshold does not depend on the data), and
-``to_dict()`` its JSON view.  BH rejects the k largest statistics of a row;
-a fixed threshold counts each group's p <= t (``counts``), which is also the
+``to_dict()`` its JSON view.  BH rejects the k largest statistics of a row,
+or p <= p_(k) of a rational scan where its bands cannot settle the row; a
+fixed threshold counts each group's p <= t (``counts``), which is also the
 count of the e.c.d.f. covariance probe.
 
 Every decision p <= g is made on the statistics, as x >= q(g) (q the
@@ -65,15 +66,16 @@ class BH:
         is the last line whose statistic clears lo, so none above k clears
         hi; where the k-th also clears hi_k, k is exact, and the k largest
         are rejected: the (k+1)-th lies below lo_(k+1) <= lo_k <= hi_k, so
-        none ties with the k-th.  A row whose k-th lies inside its band goes
-        through the exact step-up on its p-values and rejects p <= p_(k).
+        none ties with the k-th.  A row whose k-th lies inside its band takes
+        k from :meth:`_step_up` and rejects p <= p_(k): p need not fall as x grows.
         """
         m = x.shape[1]
         if m not in self._bands:
-            self._bands[m] = _x_band(self._lines(m)[::-1])
+            self._bands[m] = _x_band(self.alpha * np.arange(m, 0, -1) / m)
         lo, hi = self._bands[m]
         xs = np.sort(x, axis=1)  # column j: the (m - j)-th largest, against line m - j
-        k = _last_line(xs >= lo)
+        clears = xs >= lo
+        k = np.where(clears.any(axis=1), m - np.argmax(clears, axis=1), 0)
         col = (m - k) % m  # the k-th largest's column; k = 0 rejects nothing
         kth = np.where(k > 0, xs[np.arange(k.size), col], np.inf)
         false_hits = x[:, :m0] >= kth[:, None]
@@ -85,26 +87,15 @@ class BH:
         return self.alpha * k / m, k, _row_counts(false_hits)
 
     def _step_up(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k, p_(k)) per row of ascending p-values, k exact as in
-        :meth:`tally`; p_(k) is 0.0 where k = 0."""
-        m = p.shape[1]
-        lines = self._lines(m)
-        # a float line lies within 3 ulp of i*alpha/m, inside a relative 2**-50:
-        # only an order statistic that close needs an exact comparison
-        slack = lines * 2.0**-50
-        below = p <= lines + slack
-        k = _last_line(below[:, ::-1])
-        cut = p[np.arange(k.size), k - 1]
-        # the largest candidate is exact unless it is that close to its line
-        for r in np.flatnonzero((k > 0) & (cut > (lines - slack)[k - 1])):
-            while k[r] and Fraction(p[r, k[r] - 1]) * m > Fraction(self.alpha) * int(k[r]):
-                k[r] -= 1
-            cut[r] = p[r, k[r] - 1]
-        return k, np.where(k > 0, cut, 0.0)
-
-    def _lines(self, m: int) -> np.ndarray:
-        """The lines alpha * k / m for k = 1, ..., m."""
-        return self.alpha * np.arange(1, m + 1) / m
+        """(k, p_(k)) per row of ascending p-values: k = max{i : p_(i)*m <=
+        alpha*i}, the floats read as rationals, or 0 with p_(k) = 0.0."""
+        m, alpha = p.shape[1], Fraction(self.alpha)
+        k, cut = np.zeros(len(p), dtype=np.intp), np.zeros(len(p))
+        for r, row in enumerate(p):
+            for i, p_i in enumerate(row, 1):
+                if Fraction(p_i) * m <= alpha * i:
+                    k[r], cut[r] = i, p_i
+        return k, cut
 
     def t_star(self, cdf) -> float:
         """The fixed point of G(t) = t / alpha."""
@@ -162,13 +153,6 @@ class FixedThreshold:
 
 
 ThresholdProcedure = Union[BH, FixedThreshold]
-
-
-def _last_line(hits: np.ndarray) -> np.ndarray:
-    """Per row of a (B, m) boolean array whose column j stands for line
-    m - j: the largest line with a hit, 0 where there is none."""
-    m = hits.shape[1]
-    return np.where(hits.any(axis=1), m - np.argmax(hits, axis=1), 0)
 
 
 def _row_counts(hits: np.ndarray) -> np.ndarray:

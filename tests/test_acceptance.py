@@ -55,7 +55,6 @@ from test_gaussian import UPPER_TAIL_TABLE
 
 SEED = 20260808
 PI0, MU, ALPHA = 0.5, 2.0, 0.2
-CENTER = PI0 * ALPHA
 WORKERS = 4
 
 PI0_GRID = [round(0.1 * k, 1) for k in range(1, 10)]

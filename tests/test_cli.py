@@ -423,6 +423,12 @@ class TestRateStudyCommand:
         assert [row["m"] for row in summary["rows"]] == [100, 200, 400]
 
 
+# (mu, rho) whose rounding in the oracle rescaling breaks the run at m = 1000:
+# variance ratio 124 and KS 0.75, variance ratio 1.110 and KS 0.055 (against
+# 1.047 and 0.038 at mu = 2), and an overflow
+ORACLE_MU_BEYOND_ROUNDING = [("1e16", "0.3"), ("1e9", "0.999999999999"), ("1.7e308", "0.3")]
+
+
 class TestOracleCommand:
     def test_rho_one_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -440,6 +446,18 @@ class TestOracleCommand:
             )
         assert exc.value.code == 2
         assert "--m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu,rho", ORACLE_MU_BEYOND_ROUNDING)
+    def test_mu_beyond_the_rounding_bound_is_usage_error(self, mu, rho, tmp_path, capsys):
+        # used to print wrong FDPs, warn of overflow, or exit 2 naming a mu of inf
+        argv = ["oracle", "--rho", rho, "--m", "1000", "--pi0", "0.5", "--mu", mu,
+                "--alpha", "0.2", "--replicates", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_usage_error(
+                argv, f"mu={float(mu)!r} is too large for the oracle rescaling at "
+                f"rho={float(rho)!r} and m=1000", tmp_path, capsys,
+            )
 
     def test_run_and_config_echo(self, tmp_path):
         out = tmp_path / "oracle"

@@ -376,6 +376,8 @@ class TestCovarianceProbe:
             ecdf_covariance_probe(params, [0.0, 0.5], replicates=10)
         with pytest.raises(ParameterError):
             ecdf_covariance_probe(params, [], replicates=10)
+        with pytest.raises(ParameterError, match="grid must be"):
+            ecdf_covariance_probe(params, [0.5, np.nan], replicates=10)
 
     def test_deterministic(self):
         params = ModelParams(m=150, pi0=0.5, mu=2.0, rho=0.0)

@@ -1,6 +1,9 @@
 """Oracle rescaling for fixed rho: algebra of the rescaling, distributional
 equivalence with the negative-boundary model, and the predicted limit law."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,24 @@ class TestOracleParams:
         assert params.base is BASE
         rebuilt = OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.5))
         assert params.at(1000, 0.5) == rebuilt
+
+    @pytest.mark.parametrize("mu,rho", [(1e16, 0.3), (1e9, 1 - 1e-12), (1.7e308, 0.3)])
+    def test_mu_beyond_the_rounding_bound_rejected(self, mu, rho):
+        # scale*(m + 5)*2**-53*mu above 1e-6: 1.3e3, 112 and 2.3e295 at m = 1000
+        base = ModelParams(m=1000, pi0=0.5, mu=mu, rho=rho)
+        message = f"mu={mu!r} is too large for the oracle rescaling at rho={rho!r} and m=1000"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                OracleParams(base)
+
+    def test_rounding_bound_admits_the_largest_mu_below_it(self):
+        # scale*(m + 5)*2**-53*mu = 1e-6 sits on the bound and passes
+        base = ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.3)
+        edge = 1e-6 / (OracleParams(base).scale * 1005 * 2.0**-53)
+        OracleParams(ModelParams(m=1000, pi0=0.5, mu=edge, rho=0.3))
+        with pytest.raises(ParameterError, match="too large for the oracle rescaling"):
+            OracleParams(ModelParams(m=1000, pi0=0.5, mu=np.nextafter(edge, np.inf), rho=0.3))
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1])
     def test_requires_rho_in_open_unit_interval(self, rho):

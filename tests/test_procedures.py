@@ -285,7 +285,7 @@ class TestDecisionsOnStatistics:
     @given(data=st.data())
     def test_bh_equals_the_step_up_on_p_values(self, data):
         # threshold, rejected and false rejections against _p_values and the
-        # exact step-up on the p-values, and k against the rational scan
+        # rational scan's k, rejecting the p-values up to the k-th smallest
         rows = data.draw(st.integers(1, 4), label="rows")
         m = data.draw(st.integers(1, 30), label="m")
         alpha = data.draw(
@@ -301,10 +301,23 @@ class TestDecisionsOnStatistics:
         m0 = data.draw(st.integers(0, m), label="m0")
         threshold, rejected, false_rej, _ = _apply_procedure_rows(BH(alpha), x, m0)
         p = _p_values(x)
-        k, cut = BH(alpha)._step_up(np.sort(p, axis=1))
+        k = np.array([bh_threshold_scan_k(row, alpha) for row in p])
+        cut = np.where(k > 0, np.sort(p, axis=1)[np.arange(rows), k - 1], 0.0)
         false_want, true_want = p_value_counts(x, m0, cut)
         np.testing.assert_array_equal(threshold, alpha * k / m)
         np.testing.assert_array_equal(rejected, false_want + true_want)
         np.testing.assert_array_equal(false_rej, false_want)
         np.testing.assert_array_equal(rejected, k)
-        assert list(k) == [bh_threshold_scan_k(row, alpha) for row in p]
+
+    @pytest.mark.parametrize("m0", [3, 1])
+    def test_bh_band_row_whose_p_values_rise_with_x(self, m0):
+        # inside the bands at alpha = 0.3, m = 3, the larger of the two close
+        # statistics has the larger p-value: the second smallest p-value is
+        # 0.2, above the line 0.3 * 2 / 3 as a rational, so k = 0; ranking
+        # the band entries by their statistics would give k = 2
+        x = np.array([0.5244005127080408, 0.8416212335729142, 0.8416212335729144])
+        assert list(_p_values(x)) == [0.30000000000000004, 0.19999999999999996, 0.2]
+        threshold, rejected, false_rej, fdp = (
+            col[0] for col in _apply_procedure_rows(BH(0.3), x[None], m0)
+        )
+        assert (threshold, rejected, false_rej, fdp) == (0.0, 0, 0, 0.0)
