@@ -17,9 +17,8 @@ config = ExperimentConfig(
     rho_seq=SEQ,
     replicates=1200,
     seed=2,
-    m_grid=GRID,
 )
-result = rate_study(config, workers=4)
+result = rate_study(config, GRID, workers=4)
 
 print("rho_m = m^-1/2 regime, R=1200 per row")
 print(f"{'m':>6} {'rho_m':>9} {'m*var(FDP)':>12} {'rho-scaled var':>15} {'theory c^2':>11} {'ratio':>7}")

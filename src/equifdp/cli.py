@@ -69,16 +69,22 @@ def _add_regime_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho-coef", type=float, default=1.0, help="coefficient for --gamma")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_shared_flags(p: argparse.ArgumentParser, threshold: bool = True) -> None:
+    """--out, --config and, on all but oracle, --threshold: declared once for every subcommand."""
+    if threshold:
+        p.add_argument("--threshold", type=float, help="use a fixed threshold instead of BH")
+    p.add_argument("--out", type=str, help="output directory")
+    p.add_argument("--config", type=str, help="flat key=value file of flag names; flags override")
+
+
+def _add_run_flags(p: argparse.ArgumentParser, threshold: bool = True) -> None:
+    _add_shared_flags(p, threshold)
     p.add_argument("--replicates", type=int, default=1000, help="Monte Carlo replicates")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="worker threads (results are worker-count independent)")
-    p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--check", action="store_true",
                    help="exit nonzero when statistical tolerances are violated")
-    p.add_argument("--config", type=str, default=None,
-                   help="flat key=value file mirroring flag names; flags override")
 
 
 def _m_grid(text: str) -> tuple[int, ...]:
@@ -108,18 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--theta", type=float, help="regime m*rho_m -> theta")
     g.add_argument("--case-ii", action="store_true",
                    help="regime m*rho_m -> inf with rho_m -> 0")
-    p_theory.add_argument("--threshold", type=float, default=None,
-                          help="evaluate a fixed threshold instead of BH")
-    p_theory.add_argument("--out", type=str, default=None, help="output directory")
-    p_theory.add_argument("--config", type=str, default=None,
-                          help="flat key=value file mirroring flag names")
+    _add_shared_flags(p_theory)
 
     p_sim = sub.add_parser("simulate", help="replicated Monte Carlo run")
     p_sim.set_defaults(handler=_cmd_run)
     _add_model_flags(p_sim)
     _add_regime_flags(p_sim)
-    p_sim.add_argument("--threshold", type=float, default=None,
-                       help="use a fixed threshold instead of BH")
     _add_run_flags(p_sim)
 
     p_rate = sub.add_parser("rate-study", help="simulate across a grid of m values")
@@ -128,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated increasing m values (>= 3)")
     _add_model_flags(p_rate, with_m=False)
     _add_regime_flags(p_rate)
-    p_rate.add_argument("--threshold", type=float, default=None,
-                        help="use a fixed threshold instead of BH")
     _add_run_flags(p_rate)
 
     p_oracle = sub.add_parser("oracle", help="simulate with the fixed-rho rescaling")
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_oracle)
     p_oracle.add_argument("--rho", type=float, required=True,
                           help="known fixed equi-correlation in (0, 1)")
-    _add_run_flags(p_oracle)
+    _add_run_flags(p_oracle, threshold=False)
 
     return parser
 
@@ -264,10 +262,9 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def _config_from(args) -> ExperimentConfig:
+def _config_from(args, m_grid) -> ExperimentConfig:
     """The config of a run subcommand: rate-study starts at the first m of
     its grid, and oracle fixes its regime."""
-    m_grid = getattr(args, "m_grid", None)
     m = args.m if m_grid is None else m_grid[0]
     if args.command == "oracle":
         base = ModelParams(m=m, pi0=args.pi0, mu=args.mu, rho=args.rho)
@@ -281,19 +278,22 @@ def _config_from(args) -> ExperimentConfig:
         rho_seq=rho_seq,
         replicates=args.replicates,
         seed=args.seed,
-        m_grid=m_grid,
     )
 
 
 def _cmd_run(args) -> int:
     """simulate, oracle and rate-study: one run, or one per m of the grid."""
-    config = _config_from(args)
+    m_grid = getattr(args, "m_grid", None)
+    config = _config_from(args, m_grid)
     # runs before the outdir is made: a law the library rejects is a usage error and writes nothing
-    result = (run if config.m_grid is None else rate_study)(config, workers=args.workers)
+    if m_grid is None:
+        summary = run(config, workers=args.workers)
+    else:
+        study = rate_study(config, m_grid, workers=args.workers)
     outdir = _outdir(args)
-    _echo_config(outdir, args, config_to_dict(config) | {"workers": args.workers})
-    if config.m_grid is None:
-        summary = result
+    echo = config_to_dict(config, m_grid)
+    _echo_config(outdir, args, echo | {"workers": args.workers})
+    if m_grid is None:
         write_replicates_csv(summary, outdir / "replicates.csv")
         write_summary_json(summary, outdir / "summary.json")
         violations = check_tolerances(summary)
@@ -305,18 +305,18 @@ def _cmd_run(args) -> int:
             + (f" violations={violations}" if violations else "")
         )
     else:
-        result.write_csv(outdir / "rate_study.csv")
-        violations = {str(s.m): check_tolerances(s) for s in result.rows}
+        study.write_csv(outdir / "rate_study.csv")
+        violations = {str(s.m): check_tolerances(s) for s in study.rows}
         _write_json(
             outdir / "summary.json",
             {
                 "version": __version__,
-                "config": config_to_dict(config),
-                "rows": result.table(),
+                "config": echo,
+                "rows": study.table(),
                 "tolerance_violations": violations,
             },
         )
-        print(f"wrote {outdir}/rate_study.csv with {len(result.rows)} rows")
+        print(f"wrote {outdir}/rate_study.csv with {len(study.rows)} rows")
         failed = any(violations.values())
     return EXIT_CHECK_FAILED if args.check and failed else EXIT_OK
 

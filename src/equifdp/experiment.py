@@ -78,7 +78,9 @@ class ExperimentConfig:
                    regime is a property of a sequence, not of one m.
     replicates  -- number of Monte Carlo replicates R
     seed        -- base seed; replicate r uses (seed, stream_offset + r)
-    m_grid      -- optional increasing m values for rate studies
+
+    A config describes one run at params' m; :func:`rate_study` takes its
+    grid of m values as an argument.
     """
 
     params: ModelParams | OracleParams
@@ -86,7 +88,6 @@ class ExperimentConfig:
     rho_seq: Optional[RhoSequence] = None
     replicates: int = 1000
     seed: int = 0
-    m_grid: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if not _is_int(self.replicates) or self.replicates < 1:
@@ -103,13 +104,6 @@ class ExperimentConfig:
                     f"rho_seq gives rho={declared!r} at m={base.m} but params carry "
                     f"rho={base.rho!r}"
                 )
-        if self.m_grid is not None:
-            grid = tuple(self.m_grid)
-            if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ParameterError("m_grid must be increasing with >= 3 points")
-            for m in grid:
-                _config_at_m(self, m)  # the model checks every point before any runs
-            object.__setattr__(self, "m_grid", tuple(map(int, grid)))
 
 
 @dataclass(frozen=True)
@@ -262,28 +256,25 @@ class RateStudyResult:
         _write_csv(path, list(table[0]), [[row[k] for row in table] for k in table[0]])
 
 
-def _config_at_m(config: ExperimentConfig, m: int) -> ExperimentConfig:
-    params = config.params
-    rho = params.base.rho if config.rho_seq is None else config.rho_seq.rho_at(m)
-    return replace(config, params=params.at(m, rho), m_grid=None)
+def rate_study(config: ExperimentConfig, m_grid, workers: int = 1) -> RateStudyResult:
+    """Run the experiment on every m of `m_grid`, increasing with >= 3 points.
 
-
-def rate_study(config: ExperimentConfig, workers: int = 1) -> RateStudyResult:
-    """Run the experiment on every m of config.m_grid.
-
-    Row j is :func:`run` at m_j from stream j * replicates, so rows use
+    Row j is :func:`run` of the config at m_j, with rho from the declared
+    regime (else params' rho), from stream j * replicates, so rows use
     disjoint blocks of stream ids, are statistically independent, and the
-    whole study is reproducible from the single seed.  The law does not
-    depend on m, so every row solves the same one.
+    whole study is reproducible from the single seed.  The config at every
+    m is built before any row runs, so a point outside the model fails
+    first; each row solves the config's law, which does not depend on m,
+    and scales it by its own a_m.
     """
-    if config.m_grid is None:
-        raise ParameterError("rate_study requires m_grid")
-    return RateStudyResult(
-        rows=tuple(
-            run(_config_at_m(config, m), workers, j * config.replicates)
-            for j, m in enumerate(config.m_grid)
-        )
-    )
+    grid = tuple(m_grid)
+    if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("m_grid must be increasing with >= 3 points")
+    params, rho_seq = config.params, config.rho_seq
+    rhos = [params.base.rho if rho_seq is None else rho_seq.rho_at(m) for m in grid]
+    configs = [replace(config, params=params.at(m, rho)) for m, rho in zip(grid, rhos)]
+    R = config.replicates
+    return RateStudyResult(rows=tuple(run(c, workers, j * R) for j, c in enumerate(configs)))
 
 
 # --- empirical-process covariance probe ---------------------------------------
@@ -302,7 +293,7 @@ class ProbeResult:
 
 
 def ecdf_covariance_probe(
-    params: ModelParams,
+    params: ModelParams | OracleParams,
     grid,
     replicates: int,
     seed: int = 0,
@@ -311,9 +302,11 @@ def ecdf_covariance_probe(
     """Empirical covariances of sqrt(m) * (group e.c.d.f. - group c.d.f.)
     at the given thresholds, over independent replicates.
 
-    Replicate r uses stream (seed, stream_offset + r), drawn in the same
-    blocks as :func:`run`; each group e.c.d.f. is the count #{p <= g} over
-    the group's columns divided by the group size.  Reports empirical
+    Replicate r uses stream (seed, stream_offset + r), drawn from params'
+    base in the same blocks as :func:`run` and put through params' transform,
+    as a run does; each group e.c.d.f. is the count #{p <= g} over the
+    group's columns divided by the group size, centred at the grid (nulls)
+    and at params' alternative c.d.f.  Reports empirical
     numbers only; the matching theory kernels live in
     :func:`equifdp.asymptotics.ecdf_limit_cov`.
     """
@@ -326,16 +319,18 @@ def ecdf_covariance_probe(
         )
     _check_streams(seed, stream_offset, replicates)
     g1 = np.asarray(params.cdf.alt_cdf(grid))
-    m0 = params.m0
+    base = params.base
+    m, m0 = base.m, base.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
     cuts = [FixedThreshold(g) for g in grid]
-    for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
+    for lo, hi, x in _draw_blocks(base, seed, stream_offset, replicates):
+        x = params.transform(x)
         for j, cut in enumerate(cuts):
             counts0[lo:hi, j], counts1[lo:hi, j] = cut.counts(x, m0)
-    root_m = math.sqrt(params.m)
+    root_m = math.sqrt(m)
     dev0 = root_m * (counts0 / m0 - grid)
-    dev1 = root_m * (counts1 / (params.m - m0) - g1)
+    dev1 = root_m * (counts1 / (m - m0) - g1)
     return ProbeResult(
         grid=grid,
         dev_null=dev0,
@@ -378,7 +373,8 @@ def check_tolerances(summary: ExperimentSummary) -> list[str]:
     return out
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
+def config_to_dict(config: ExperimentConfig, m_grid=None) -> dict:
+    """JSON-ready echo of a config; `m_grid` is the study's grid, None for a run."""
     base = config.params.base
     return {
         "m": base.m,
@@ -390,7 +386,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "rho_seq": None if config.rho_seq is None else config.rho_seq.to_dict(),
         "replicates": config.replicates,
         "seed": config.seed,
-        "m_grid": None if config.m_grid is None else list(config.m_grid),
+        "m_grid": None if m_grid is None else list(map(int, m_grid)),
     }
 
 

@@ -212,6 +212,21 @@ def test_probe_equals_group_recount(m, replicates):
         np.testing.assert_array_equal(probe.dev_alt[r], root_m * (alt / (m - n_null) - g1))
 
 
+@pytest.mark.parametrize("m,replicates", [(3, 40), (1000, 37), (5001, 7)])
+def test_oracle_probe_equals_recount_of_the_transformed_samples(m, replicates):
+    # an oracle probe draws from the base model, counts on the rescaled
+    # statistics and centres the alternatives at the oracle mixture's c.d.f.
+    params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
+    grid = np.array([0.05, 0.25, 0.5])
+    probe = ecdf_covariance_probe(params, grid, replicates, seed=SEED, stream_offset=5)
+    g1 = np.asarray(params.cdf.alt_cdf(grid))
+    root_m, m0 = math.sqrt(m), params.base.m0
+    for r in range(replicates):
+        s = sample(params.base, RngStream(SEED, 5 + r))
+        null, alt = group_counts(s.tau, p_values(params.transform(s.x)), grid)
+        np.testing.assert_array_equal(probe.dev_null[r], root_m * (null / m0 - grid))
+        np.testing.assert_array_equal(probe.dev_alt[r], root_m * (alt / (m - m0) - g1))
+
 def test_oracle_run_evaluates_p_values_only_in_bands(monkeypatch):
     # every rejection is decided on the rescaled statistics, and erfc runs
     # only for a statistic inside a cut's rounding band: none at this seed

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommand behavior, file outputs, reproducibility,
 usage errors, config files, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -649,6 +650,77 @@ def test_output_bytes_do_not_depend_on_the_block_size(name, block_elems, tmp_pat
     # one row per block, the earlier 16384 values, and the 256 KiB block
     monkeypatch.setattr(equifdp.model, "_BLOCK_ELEMS", block_elems)
     test_output_bytes_are_pinned(name, tmp_path)
+
+
+# every subcommand's flags, recorded before the shared ones were declared once:
+# dest -> (option strings, type, default, required, action), with "cpu" for
+# --workers's default of os.cpu_count() or 1, and each mutually exclusive
+# group as (required, its dests)
+_MODEL_FLAGS = {
+    "pi0": (("--pi0",), "float", None, True, "_StoreAction"),
+    "mu": (("--mu",), "float", None, True, "_StoreAction"),
+    "alpha": (("--alpha",), "float", None, True, "_StoreAction"),
+}
+_M_FLAG = {"m": (("--m",), "int", None, True, "_StoreAction")}
+_THRESHOLD_FLAG = {"threshold": (("--threshold",), "float", None, False, "_StoreAction")}
+_FILE_FLAGS = {
+    "out": (("--out",), "str", None, False, "_StoreAction"),
+    "config": (("--config",), "str", None, False, "_StoreAction"),
+}
+_REGIME_FLAGS = {
+    "rho": (("--rho",), "float", None, False, "_StoreAction"),
+    "theta": (("--theta",), "float", None, False, "_StoreAction"),
+    "gamma": (("--gamma",), "float", None, False, "_StoreAction"),
+    "rho_coef": (("--rho-coef",), "float", 1.0, False, "_StoreAction"),
+}
+_RUN_FLAGS = _FILE_FLAGS | {
+    "replicates": (("--replicates",), "int", 1000, False, "_StoreAction"),
+    "seed": (("--seed",), "int", 0, False, "_StoreAction"),
+    "workers": (("--workers",), "int", "cpu", False, "_StoreAction"),
+    "check": (("--check",), None, False, False, "_StoreTrueAction"),
+}
+_REGIME_GROUP = [(True, ("gamma", "rho", "theta"))]
+SUBCOMMAND_FLAGS = {
+    "theory": (
+        _MODEL_FLAGS | _THRESHOLD_FLAG | _FILE_FLAGS | {
+            "theta": (("--theta",), "float", None, False, "_StoreAction"),
+            "case_ii": (("--case-ii",), None, False, False, "_StoreTrueAction"),
+        },
+        [(True, ("case_ii", "theta"))],
+    ),
+    "simulate": (
+        _M_FLAG | _MODEL_FLAGS | _REGIME_FLAGS | _THRESHOLD_FLAG | _RUN_FLAGS, _REGIME_GROUP
+    ),
+    "rate-study": (
+        _MODEL_FLAGS | _REGIME_FLAGS | _THRESHOLD_FLAG | _RUN_FLAGS
+        | {"m_grid": (("--m-grid",), "_m_grid", None, True, "_StoreAction")},
+        _REGIME_GROUP,
+    ),
+    "oracle": (
+        _M_FLAG | _MODEL_FLAGS | _RUN_FLAGS
+        | {"rho": (("--rho",), "float", None, True, "_StoreAction")},
+        [],
+    ),
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(SUBCOMMAND_FLAGS)
+    cpu = os.cpu_count() or 1
+    for name, p in sub.choices.items():
+        flags = {
+            a.dest: (tuple(a.option_strings), getattr(a.type, "__name__", None),
+                     "cpu" if a.dest == "workers" and a.default == cpu else a.default,
+                     a.required, type(a).__name__)
+            for a in p._actions if a.dest != "help"
+        }
+        groups = sorted(
+            (g.required, tuple(sorted(a.dest for a in g._group_actions)))
+            for g in p._mutually_exclusive_groups
+        )
+        assert (flags, groups) == SUBCOMMAND_FLAGS[name], name
 
 
 def test_version_flag(capsys):

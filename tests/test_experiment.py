@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import equifdp.experiment
 from equifdp import (
     BH,
     ExperimentConfig,
@@ -175,16 +176,29 @@ class TestConfigValidation:
             )
 
     def test_bad_m_grid_rejected(self):
+        config = ExperimentConfig(
+            params=ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.0),
+            procedure=BH(0.2),
+            rho_seq=ThetaOverM(0.0),
+            replicates=10,
+            seed=0,
+        )
         for grid in [(100, 200), (100, 100, 200), (200, 100, 300)]:
-            with pytest.raises(ParameterError):
-                ExperimentConfig(
-                    params=ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.0),
-                    procedure=BH(0.2),
-                    rho_seq=ThetaOverM(0.0),
-                    replicates=10,
-                    seed=0,
-                    m_grid=grid,
-                )
+            with pytest.raises(ParameterError, match="m_grid must be increasing"):
+                rate_study(config, grid)
+
+    def test_grid_point_outside_the_model_fails_before_any_row_runs(self, monkeypatch):
+        # rho = -0.005 is below -1/(m - 1) at m = 300 but not at m = 100
+        calls = []
+        monkeypatch.setattr(equifdp.experiment, "run", lambda *a: calls.append(a))
+        config = ExperimentConfig(
+            params=ModelParams(m=100, pi0=0.5, mu=2.0, rho=-0.005),
+            procedure=BH(0.2),
+            replicates=10,
+        )
+        with pytest.raises(ParameterError, match="for m=300, got -0.005"):
+            rate_study(config, (100, 300, 400))
+        assert calls == []
 
 
 class TestStatisticalCalibration:
@@ -275,9 +289,8 @@ def study():
         rho_seq=ThetaOverM(0.0),
         replicates=300,
         seed=23,
-        m_grid=(200, 400, 800),
     )
-    return rate_study(cfg, workers=4)
+    return rate_study(cfg, (200, 400, 800), workers=4)
 
 
 class TestRateStudy:
@@ -302,17 +315,13 @@ class TestRateStudy:
         assert lines[0] == "m,var_scaled,theory_variance,variance_ratio,ks_statistic,var_sqrtm"
         assert len(lines) == 4
 
-    def test_requires_grid(self):
-        with pytest.raises(ParameterError):
-            rate_study(SMALL)
-
     def test_every_row_has_the_configs_law(self):
         # the law depends on the mixture, procedure and regime, not on m, so
         # the law each row solves equals the config's
         grid = (400, 800, 1600)
-        config = dataclasses.replace(SMALL, replicates=30, m_grid=grid)
+        config = dataclasses.replace(SMALL, replicates=30)
         law = asymptotic_law(config.params.cdf, config.procedure, config.rho_seq)
-        rows = rate_study(config).rows
+        rows = rate_study(config, grid).rows
         assert all(row.law == law for row in rows)
         assert [row.a_m for row in rows] == [math.sqrt(m) for m in grid]
         assert all(len(row.warnings) == 1 for row in rows)  # each row's R < 100 note, once
@@ -322,16 +331,15 @@ class TestRateStudy:
         # with the theta = -1 law of the rescaled statistics at rate sqrt(m_j)
         R, grid = 30, (100, 200, 400)
 
-        def oracle_config(m, m_grid=None):
+        def oracle_config(m):
             return ExperimentConfig(
                 params=OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3)),
                 procedure=BH(0.2),
                 replicates=R,
                 seed=29,
-                m_grid=m_grid,
             )
 
-        study = rate_study(oracle_config(grid[0], grid))
+        study = rate_study(oracle_config(grid[0]), grid)
         for j, (m, row) in enumerate(zip(grid, study.rows)):
             want = run(oracle_config(m), stream_offset=j * R)
             assert row.config == want.config
@@ -487,7 +495,7 @@ class TestNumpyScalarInputs:
         summary = run(config, workers=2)
         write_summary_json(summary, out / "summary.json")
         write_replicates_csv(summary, out / "replicates.csv")
-        study = rate_study(dataclasses.replace(config, m_grid=grid))
+        study = rate_study(config, grid)
         study.write_csv(out / "rate_study.csv")
         return {f.name: f.read_bytes() for f in out.iterdir()}
 
@@ -517,18 +525,19 @@ class TestNumpyScalarInputs:
         params = ModelParams(m=np.int64(10), pi0=np.float32(0.5), mu=np.float64(2.0), rho=0)
         config = ExperimentConfig(
             params=params, procedure=FixedThreshold(np.float32(0.25)),
-            replicates=np.int32(5), seed=np.uint64(3), m_grid=np.array([10, 20, 40]),
+            replicates=np.int32(5), seed=np.uint64(3),
         )
+        rows = rate_study(config, np.array([10, 20, 40])).rows
         stored = [
             (params.m, int), (params.pi0, float), (params.mu, float), (params.rho, float),
             (config.procedure.t, float), (config.replicates, int), (config.seed, int),
-            *((m, int) for m in config.m_grid),
+            *((row.m, int) for row in rows),
             (PowerLaw(np.int64(1), np.float32(0.5)).c, float),
             (FixedRho(np.float32(0.25)).rho, float),
             (RngStream(np.uint64(1), np.int64(2)).stream_id, int),
         ]
         assert [type(v) for v, _ in stored] == [kind for _, kind in stored]
-        assert config.m_grid == (10, 20, 40)
+        assert [row.m for row in rows] == [10, 20, 40]
 
 
 def test_failed_json_dump_leaves_no_file(tmp_path):
