@@ -16,12 +16,12 @@ regime is declared or when the declared regime has no normal limit (fixed
 rho without the oracle transform).
 
 Replicates are processed in blocks of B = max(1, 32768 // m) rows (256 KiB
-of float64; model._BLOCK_ELEMS): one (B, m) array is drawn (row i from its
-own stream), put through the params' transform (the oracle rescaling, or
-the identity) and handed to the procedure, which tallies each row on the
-statistics.  The run and the e.c.d.f. covariance probe share the draw,
-model._draw_blocks; the probe counts each grid point with a
-FixedThreshold, which holds its cut's rounding band.
+of float64; model._BLOCK_ELEMS).  model._draw_blocks(params, ...) draws one
+(B, m) array (row i from its own stream) and applies the params' transform
+(the oracle rescaling, or the identity) itself; the run hands the block to
+the procedure, which tallies each row on the statistics, and the e.c.d.f.
+covariance probe counts each grid point with a FixedThreshold, which holds
+its cut's rounding band.
 """
 
 from __future__ import annotations
@@ -153,10 +153,10 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
     replicate, so a law the library rejects fails first, and a regime with
     no normal limit leaves the theory fields absent with a warning.
     min(`workers`, R) threads split the replicate range into contiguous
-    chunks, and each fills its chunk block by block (see the module
-    docstring); an integer `workers` <= 1 runs in the calling thread.  Every
-    replicate owns its own stream, and aggregation folds in replicate index
-    order, so the summary is bit-identical for any worker count and block size.
+    chunks, each tallied block by block on the draw's transformed statistics
+    (module docstring); an integer `workers` <= 1 runs in the calling thread.
+    Every replicate owns its own stream, and aggregation folds in replicate
+    index order, so the summary is bit-identical for any worker count and block size.
     """
     if not _is_int(workers):
         raise ParameterError(f"workers must be an integer, got {workers!r}")
@@ -178,11 +178,11 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
 
     def fill(lo, hi):
         # replicates lo..hi-1 from streams stream_offset + lo on, block by block
-        params = config.params
-        for b_lo, b_hi, x in _draw_blocks(params.base, config.seed, stream_offset + lo, hi - lo):
-            rows = _apply_procedure_rows(config.procedure, params.transform(x), params.base.m0)
+        for b_lo, b_hi, x in _draw_blocks(config.params, config.seed, stream_offset + lo, hi - lo):
+            rows = _apply_procedure_rows(config.procedure, x, config.params.base.m0)
             for dst, src in zip(out, rows):
                 dst[lo + b_lo : lo + b_hi] = src
+            del x  # not held while the next block is drawn and transformed
 
     if workers <= 1:
         fill(0, R)
@@ -302,9 +302,9 @@ def ecdf_covariance_probe(
     """Empirical covariances of sqrt(m) * (group e.c.d.f. - group c.d.f.)
     at the given thresholds, over independent replicates.
 
-    Replicate r uses stream (seed, stream_offset + r), drawn from params'
-    base in the same blocks as :func:`run` and put through params' transform,
-    as a run does; each group e.c.d.f. is the count #{p <= g} over the
+    Replicate r uses stream (seed, stream_offset + r) in :func:`run`'s blocks:
+    model._draw_blocks(params, ...) draws them from params' base and applies
+    params' transform; each group e.c.d.f. is the count #{p <= g} over the
     group's columns divided by the group size, centred at the grid (nulls)
     and at params' alternative c.d.f.  Reports empirical
     numbers only; the matching theory kernels live in
@@ -319,15 +319,14 @@ def ecdf_covariance_probe(
         )
     _check_streams(seed, stream_offset, replicates)
     g1 = np.asarray(params.cdf.alt_cdf(grid))
-    base = params.base
-    m, m0 = base.m, base.m0
+    m, m0 = params.base.m, params.base.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)
     cuts = [FixedThreshold(g) for g in grid]
-    for lo, hi, x in _draw_blocks(base, seed, stream_offset, replicates):
-        x = params.transform(x)
+    for lo, hi, x in _draw_blocks(params, seed, stream_offset, replicates):
         for j, cut in enumerate(cuts):
             counts0[lo:hi, j], counts1[lo:hi, j] = cut.counts(x, m0)
+        del x  # not held while the next block is drawn and transformed
     root_m = math.sqrt(m)
     dev0 = root_m * (counts0 / m0 - grid)
     dev1 = root_m * (counts1 / (m - m0) - g1)

@@ -180,6 +180,11 @@ class ThetaOverM:
 
     def variance(self, sigma2: float, c: float) -> float:
         variance = sigma2 + self.theta * c * c
+        if not math.isfinite(variance):
+            raise ParameterError(
+                f"case-i variance sigma2 + theta*c**2 is not finite at theta={self.theta!r}, "
+                f"c**2={c * c!r}"
+            )
         if variance < 0.0:
             if variance < -1e-10:
                 raise EquifdpError(
@@ -213,7 +218,12 @@ class PowerLaw:
         object.__setattr__(self, "gamma", float(self.gamma))
 
     def rho_at(self, m: int) -> float:
-        return self.c * float(m) ** (-self.gamma)
+        rho = self.c * float(m) ** (-self.gamma)
+        if rho == 0.0:
+            raise ParameterError(
+                f"rho_m = c * m**-gamma rounds to 0 at c={self.c!r}, gamma={self.gamma!r}, m={m}"
+            )
+        return rho
 
     def a_m(self, m: int) -> float:
         return self.rho_at(m) ** -0.5
@@ -342,17 +352,16 @@ _BLOCK_ELEMS = 32768
 _STATE_CHUNK = 1024
 
 
-def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
-    """(lo, hi, x) of each block of rows lo..hi-1 of n instances of the
-    model, row r from stream (seed, first + r).
+def _draw_blocks(params, seed: int, first: int, n: int):
+    """(lo, hi, params.transform(x)) of each block x of rows lo..hi-1 of n draws
+    of params.base (ModelParams or OracleParams), row r from stream (seed, first + r).
 
-    A block holds max(1, _BLOCK_ELEMS // m) rows; the seed words are
-    computed once per chunk of whole blocks.  Draw order is fixed as part of
-    the reproducibility contract: each stream gives m variates for xi, then
-    one for the common factor U, so a row is the same bit for bit whatever
-    block it is drawn in.
+    A block holds max(1, _BLOCK_ELEMS // m) rows.  Draw order is part of the
+    reproducibility contract: each stream gives m variates for xi, then one for
+    the common factor U, so a row's bits do not depend on its block.
     """
-    m, rho, mu, m0 = params.m, params.rho, params.mu, params.m0
+    base = params.base
+    m, rho, mu, m0 = base.m, base.rho, base.mu, base.m0
     step = max(1, _BLOCK_ELEMS // m)
     chunk = step * max(1, _STATE_CHUNK // step)
     scale = math.sqrt(1.0 - rho)
@@ -373,7 +382,7 @@ def _draw_blocks(params: ModelParams, seed: int, first: int, n: int):
             x *= scale
             x += common_sd * u
             x[:, m0:] += mu
-            yield lo, hi, x
+            yield lo, hi, params.transform(x)
 
 
 def sample(params: ModelParams, stream: RngStream) -> Sample:

@@ -504,6 +504,18 @@ class TestAsymptoticLaw:
         with pytest.raises(EquifdpError, match="is negative"):
             dataclasses.replace(law, sigma2=0.5)
 
+    def test_an_infinite_case_i_variance_fails_when_the_law_is_built(self):
+        # c**2 = 59.1 at (0.99, 0.3, BH(0.5)): theta * c**2 overflows at
+        # theta = 1e308 and is 5.9e307 at 1e306
+        cdf = MixtureCdf(0.99, 0.3)
+        message = r"sigma2 \+ theta\*c\*\*2 is not finite at theta=1e\+308, c\*\*2=59\.1"
+        with pytest.raises(ParameterError, match=message):
+            asymptotic_law(cdf, BH(0.5), ThetaOverM(1e308))
+        assert asymptotic_law(cdf, BH(0.5), ThetaOverM(1e306)).variance < math.inf
+        for sigma2 in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="is not finite at theta=0.0"):
+                ThetaOverM(0.0).variance(sigma2, 1.0)
+
     def test_fixed_rho_raises_regime_error(self):
         cdf = MixtureCdf(0.5, 2.0)
         with pytest.raises(RegimeError):

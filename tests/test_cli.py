@@ -120,6 +120,15 @@ class TestTheory:
         for key in ("sigma2", "c_squared", "variance"):
             assert theory[key] == pytest.approx(closed[key], rel=1e-12)
 
+    def test_case_i_variance_near_float_max_is_strict_json(self, capsys):
+        # theta * c**2 is 5.9e307 at theta = 1e306; at 1e308 it overflows and
+        # the command is a usage error (USAGE_ERRORS)
+        argv = ["theory", "--pi0", "0.99", "--mu", "0.3", "--alpha", "0.5", "--theta", "1e306"]
+        assert run_cli(argv) == 0
+        report = load_json(capsys.readouterr().out)
+        for section in ("theory", "bh_closed_form"):
+            assert report[section]["variance"] == pytest.approx(5.9119e307, rel=1e-4)
+
     @pytest.mark.parametrize(
         "pi0,mu,alpha", [("0.5", "0.2", "0.01"), ("0.9", "0.2", "0.01"), ("0.7", "0.3", "0.001")]
     )
@@ -533,6 +542,17 @@ USAGE_ERRORS = [
     ("theory --theta 0 --pi0 1e-160", "a variance component underflows below the normal floats"),
     ("theory --theta 0 --pi0 1e-200", "a variance component underflows below the normal floats"),
     ("theory --theta 0 --pi0 1e-300", "a variance component underflows below the normal floats"),
+    # theta * c**2 overflows (c**2 = 59.1): the law would print Infinity
+    ("theory --pi0 0.99 --mu 0.3 --alpha 0.5 --theta 1e308",
+     "case-i variance sigma2 + theta*c**2 is not finite at theta=1e+308, c**2=59.1"),
+    # c * m**-gamma rounds to 0, and a_m = rho_m**-0.5 would divide by it
+    ("simulate --gamma 0.5 --rho-coef 5e-324",
+     "rho_m = c * m**-gamma rounds to 0 at c=5e-324, gamma=0.5, m=100"),
+    ("rate-study --m-grid 100,200,400 --gamma 0.5 --rho-coef 5e-324",
+     "rho_m = c * m**-gamma rounds to 0 at c=5e-324, gamma=0.5, m=100"),
+    # 1e-323 at the grid's first m, 0 at its last
+    ("rate-study --m-grid 100,200,10000 --gamma 0.5 --rho-coef 1e-322",
+     "rho_m = c * m**-gamma rounds to 0 at c=1e-322, gamma=0.5, m=10000"),
 ]
 
 

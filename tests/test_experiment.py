@@ -200,6 +200,27 @@ class TestConfigValidation:
             rate_study(config, (100, 300, 400))
         assert calls == []
 
+    def test_power_law_rho_rounding_to_zero_rejected(self, monkeypatch):
+        # c * m**-gamma rounds to 0: at the config's m = 100 for c = 5e-324,
+        # and for c = 1e-322 (1e-323 at m = 100) only at the grid's m = 10000
+        with pytest.raises(ParameterError, match="rounds to 0 at c=5e-324, gamma=0.5, m=100"):
+            ExperimentConfig(
+                params=ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.0),
+                procedure=BH(0.2),
+                rho_seq=PowerLaw(5e-324, 0.5),
+            )
+        calls = []
+        monkeypatch.setattr(equifdp.experiment, "run", lambda *a: calls.append(a))
+        config = ExperimentConfig(
+            params=ModelParams(m=100, pi0=0.5, mu=2.0, rho=1e-323),
+            procedure=BH(0.2),
+            rho_seq=PowerLaw(1e-322, 0.5),
+            replicates=10,
+        )
+        with pytest.raises(ParameterError, match="rounds to 0 at c=1e-322, gamma=0.5, m=10000"):
+            rate_study(config, (100, 200, 10000))
+        assert calls == []
+
 
 class TestStatisticalCalibration:
     def test_fixed_threshold_variance_matches_generic_theory(self):

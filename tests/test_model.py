@@ -3,6 +3,7 @@ group counts of the kernel's tally."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestRhoSequences:
         for c in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="c must be positive and finite"):
                 PowerLaw(c, 0.5)
+
+    def test_power_law_rho_rounding_to_zero_rejected(self):
+        # c * m**-gamma is 5e-324 * 0.1 at m = 100, which rounds to 0, and
+        # a_m = rho_m**-0.5 would divide by it
+        seq = PowerLaw(5e-324, 0.5)
+        message = re.escape("rounds to 0 at c=5e-324, gamma=0.5, m=100")
+        for at in (seq.rho_at, seq.a_m):
+            with pytest.raises(ParameterError, match=message):
+                at(100)
+        # a subnormal rho_m that does not round to 0 is kept
+        assert PowerLaw(1e-322, 0.5).rho_at(100) == 1e-323
+        with pytest.raises(ParameterError, match="m=10000"):
+            PowerLaw(1e-322, 0.5).rho_at(10000)
 
     def test_fixed(self):
         assert FixedRho(0.3).rho_at(12345) == 0.3

@@ -22,7 +22,7 @@ from equifdp import (
     run,
     sample,
 )
-from equifdp.model import _draw_blocks
+from equifdp.model import _BLOCK_ELEMS, _draw_blocks
 
 # pinned with 60-digit bisection: fixed point of the mu/sqrt(0.7) mixture
 T_STAR_RHO_REF = 0.0956375531814413  # pi0=0.5, mu=2, rho=0.3, alpha=0.2
@@ -126,6 +126,21 @@ class TestTransform:
         params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
         col = params.transform(draw_block(params.base, 14, R))[:, 40]
         assert abs(col.mean() - params.scale * 2.0) <= 3.0 / np.sqrt(R)
+
+    @pytest.mark.parametrize("m,first", [(200, 0), (3000, 7)])
+    def test_draw_blocks_yields_the_transform_of_the_base_blocks(self, m, first):
+        # 163 and 10 rows a block: each oracle block is OracleParams.transform
+        # of the base model's block, bit for bit, in the same layout
+        params = OracleParams(ModelParams(m=m, pi0=0.5, mu=2.0, rho=0.3))
+        n = 2 * (_BLOCK_ELEMS // m) + 3
+        oracle = list(_draw_blocks(params, 21, first, n))
+        base = list(_draw_blocks(params.base, 21, first, n))
+        assert len(oracle) == len(base) == 3
+        for (lo, hi, x), (b_lo, b_hi, b) in zip(oracle, base):
+            assert (lo, hi) == (b_lo, b_hi) and hi - lo > 1
+            want = params.transform(b)
+            assert x.dtype == want.dtype and x.shape == want.shape
+            assert x.tobytes() == want.tobytes()
 
     def test_near_zero_rho_transform_is_nearly_identity(self):
         # at rho = 1e-6 and large m the rescaling collapses: max coordinate
