@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -246,6 +247,10 @@ def _cmd_theory(args) -> int:
         z = phi_upper_inv(t_star)
         c_cf = (args.pi0 * args.alpha / t_star) * std_normal_density(z)
         variance_cf = c_cf**2 if args.case_ii else sigma2_cf + args.theta * c_cf**2
+        if not math.isfinite(variance_cf):  # the law's own variance may still be finite
+            raise ParameterError(
+                f"closed-form variance is not finite at theta={args.theta!r}, c**2={c_cf**2!r}"
+            )
         report["bh_closed_form"] = {
             "t_star": t_star,
             "center": args.pi0 * args.alpha,
@@ -336,7 +341,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ParameterError as exc:
         parser.error(str(exc))
-    except EquifdpError as exc:
+    except (EquifdpError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

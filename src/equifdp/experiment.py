@@ -19,9 +19,10 @@ Replicates are processed in blocks of B = max(1, 32768 // m) rows (256 KiB
 of float64; model._BLOCK_ELEMS).  model._draw_blocks(params, ...) draws one
 (B, m) array (row i from its own stream) and applies the params' transform
 (the oracle rescaling, or the identity) itself; the run hands the block to
-the procedure, which tallies each row on the statistics, and the e.c.d.f.
-covariance probe counts each grid point with a FixedThreshold, which holds
-its cut's rounding band.
+the procedure, which tallies each row on the statistics, and derives every
+FDP from the tallies once, after the last block; the e.c.d.f. covariance
+probe counts each grid point with a FixedThreshold, which holds its cut's
+rounding band.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import ParameterError, RegimeError
 from .model import ModelParams, RhoSequence, RngStream, Sample
 from .model import _check_streams, _draw_blocks, _is_int
 from .oracle import OracleParams
-from .procedures import FixedThreshold, ThresholdProcedure, _apply_procedure_rows
+from .procedures import FixedThreshold, ThresholdProcedure
 
 __all__ = [
     "ExperimentConfig",
@@ -153,8 +154,8 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
     replicate, so a law the library rejects fails first, and a regime with
     no normal limit leaves the theory fields absent with a warning.
     min(`workers`, R) threads split the replicate range into contiguous
-    chunks, each tallied block by block on the draw's transformed statistics
-    (module docstring); an integer `workers` <= 1 runs in the calling thread.
+    chunks, tallied block by block, and each FDP is derived once from the
+    tallies (module docstring); an integer `workers` <= 1 runs in the calling thread.
     Every replicate owns its own stream, and aggregation folds in replicate
     index order, so the summary is bit-identical for any worker count and block size.
     """
@@ -173,15 +174,15 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
         except RegimeError as exc:
             warnings.append(f"regime warning: {exc}")
     a_m = None if law is None else law.rho_seq.a_m(config.params.base.m)
-    out = (np.empty(R), np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64), np.empty(R))
-    thresholds, rejected, false_rej, fdp = out
+    thresholds = np.empty(R)
+    rejected, false_rej = np.empty(R, dtype=np.int64), np.empty(R, dtype=np.int64)
 
     def fill(lo, hi):
         # replicates lo..hi-1 from streams stream_offset + lo on, block by block
         for b_lo, b_hi, x in _draw_blocks(config.params, config.seed, stream_offset + lo, hi - lo):
-            rows = _apply_procedure_rows(config.procedure, x, config.params.base.m0)
-            for dst, src in zip(out, rows):
-                dst[lo + b_lo : lo + b_hi] = src
+            rows = slice(lo + b_lo, lo + b_hi)
+            tally = config.procedure.tally(x, config.params.base.m0)
+            thresholds[rows], rejected[rows], false_rej[rows] = tally
             del x  # not held while the next block is drawn and transformed
 
     if workers <= 1:
@@ -191,6 +192,7 @@ def run(config: ExperimentConfig, workers: int = 1, stream_offset: int = 0) -> E
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, edges[:-1], edges[1:]))
 
+    fdp = false_rej / np.maximum(rejected, 1)  # a replicate without rejections has FDP 0
     mean_fdp = float(fdp.mean())
     var_fdp = float(fdp.var(ddof=1)) if R >= 2 else None
 

@@ -1,4 +1,4 @@
-"""Threshold procedures and the realized false discovery proportion.
+"""Threshold procedures and their tallies of rejections.
 
 Two procedures are provided: the Benjamini-Hochberg step-up at level alpha,
 whose data-driven threshold is the largest t with pooled-e.c.d.f. mass
@@ -15,7 +15,8 @@ at t*, or None when the threshold does not depend on the data), and
 ``to_dict()`` its JSON view.  BH rejects the k largest statistics of a row,
 or p <= p_(k) of a rational scan where its bands cannot settle the row; a
 fixed threshold counts each group's p <= t (``counts``), which is also the
-count of the e.c.d.f. covariance probe.
+count of the e.c.d.f. covariance probe.  A procedure only decides and
+counts: ``experiment.run`` derives each FDP from the tallies.
 
 Every decision p <= g is made on the statistics, as x >= q(g) (q the
 upper-tail quantile), and a p-value is computed only for a statistic inside
@@ -177,13 +178,3 @@ def _group_counts(x: np.ndarray, m0: int, cut: float, band: tuple):
         below[unsure] = _p_values(x[unsure]) <= cut
     return _row_counts(below[:, :m0]), _row_counts(below[:, m0:])
 
-
-def _apply_procedure_rows(procedure: ThresholdProcedure, x: np.ndarray, m0: int):
-    """Run a procedure on every row of a (B, m) block of statistics whose
-    first `m0` columns are the true nulls.
-
-    Returns the per-row arrays (threshold, rejected, false_rejections, fdp);
-    a row without rejections has FDP 0.
-    """
-    thresholds, rejected, false_rej = procedure.tally(x, m0)
-    return thresholds, rejected, false_rej, false_rej / np.maximum(rejected, 1)

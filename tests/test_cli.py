@@ -351,6 +351,18 @@ class TestSimulate:
         out = tmp_path / "bad"
         assert run_cli(SIM_ARGS + ["--out", str(out), "--check"]) == cli.EXIT_CHECK_FAILED
 
+    def test_allocation_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # numpy raises a MemoryError subclass where a block cannot be allocated
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert run_cli(SIM_ARGS + ["--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigFile:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -545,6 +557,12 @@ USAGE_ERRORS = [
     # theta * c**2 overflows (c**2 = 59.1): the law would print Infinity
     ("theory --pi0 0.99 --mu 0.3 --alpha 0.5 --theta 1e308",
      "case-i variance sigma2 + theta*c**2 is not finite at theta=1e+308, c**2=59.1"),
+    # just below that bound the law's variance is finite, but the closed
+    # form's own sigma2 + theta*c**2 overflows, its c**2 rounding a little
+    # above the law's 59.119063342284136: bh_closed_form would print Infinity
+    ("theory --pi0 0.99 --mu 0.3 --alpha 0.5 --theta 3.0408011108940184e+306",
+     "closed-form variance is not finite at theta=3.0408011108940184e+306, "
+     "c**2=59.11906334228739"),
     # c * m**-gamma rounds to 0, and a_m = rho_m**-0.5 would divide by it
     ("simulate --gamma 0.5 --rho-coef 5e-324",
      "rho_m = c * m**-gamma rounds to 0 at c=5e-324, gamma=0.5, m=100"),
@@ -558,11 +576,12 @@ USAGE_ERRORS = [
 
 def assert_usage_error(argv, message, workdir, capsys):
     """The command exits 2 through SystemExit, names `message` on stderr and
-    writes nothing."""
+    prints or writes nothing else."""
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--out", "out"])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
     assert not any(workdir.iterdir())
 
 

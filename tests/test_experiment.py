@@ -29,12 +29,13 @@ from equifdp import (
     ks_statistic_normal,
     rate_study,
     run,
+    sample,
     summary_to_dict,
     write_replicates_csv,
     write_summary_json,
 )
 from equifdp.experiment import _write_json
-from oracles import bootstrap_cov_se
+from oracles import GivenThresholds, bootstrap_cov_se, fdp_recount
 
 SMALL = ExperimentConfig(
     params=ModelParams(m=400, pi0=0.5, mu=2.0, rho=0.0),
@@ -152,6 +153,55 @@ class TestRunBasics:
         )
         s = run(cfg)
         assert s.a_m == pytest.approx(seq.rho_at(m) ** -0.5)
+
+
+def run_without_regime(procedure, params, replicates, seed, workers):
+    """A run that declares no regime, so `procedure` need only tally."""
+    config = ExperimentConfig(params=params, procedure=procedure, replicates=replicates, seed=seed)
+    return run(config, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestRunFdp:
+    """The FDP a run derives from each replicate's tally, checked against
+    the sample of that replicate's stream, RngStream(seed, r)."""
+
+    def test_replicate_without_rejections_has_fdp_zero(self, workers):
+        # the run mixes replicates without rejections, with only false
+        # ones (FDP 1) and with both kinds
+        params = ModelParams(m=20, pi0=0.8, mu=1.0, rho=0.0)
+        s = run_without_regime(FixedThreshold(0.02), params, 50, 4, workers)
+        none = s.rejected == 0
+        assert none.any() and np.any(s.fdp == 1.0) and np.any((s.fdp > 0.0) & (s.fdp < 1.0))
+        assert np.all(s.fdp[none] == 0.0)
+
+    def test_zero_threshold(self, workers):
+        params = ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0)
+        s = run_without_regime(GivenThresholds(0.0), params, 20, 2, workers)
+        assert s.law is None
+        assert np.all(s.rejected == 0) and np.all(s.fdp == 0.0)
+
+    def test_one_threshold_gives_null_fraction(self, workers):
+        params = ModelParams(m=10, pi0=0.7, mu=1.0, rho=0.0)
+        s = run_without_regime(GivenThresholds(1.0), params, 20, 2, workers)
+        assert np.all(s.rejected == 10) and np.all(s.fdp == 7 / 10)
+
+    @pytest.mark.parametrize(
+        "procedure,params,seed",
+        [
+            (BH(0.2), ModelParams(m=20, pi0=0.5, mu=2.0, rho=0.1), 6),
+            (GivenThresholds(0.3), ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0), 2),
+            # the mixed run above
+            (FixedThreshold(0.02), ModelParams(m=20, pi0=0.8, mu=1.0, rho=0.0), 4),
+        ],
+        ids=["bh", "given", "fixed"],
+    )
+    def test_each_fdp_matches_brute_force_recount(self, procedure, params, seed, workers):
+        s = run_without_regime(procedure, params, 50, seed, workers)
+        for r in range(50):
+            x = sample(params, RngStream(seed, r))
+            assert s.fdp[r] == fdp_recount(x.tau, x.p, s.thresholds[r])
+            assert s.false_rejections[r] <= s.rejected[r] <= params.m
 
 
 class TestConfigValidation:

@@ -24,7 +24,6 @@ from equifdp import (
     write_sample_csv,
 )
 from equifdp.model import _BLOCK_ELEMS, _draw_blocks, _stream_words, _Words
-from equifdp.procedures import _apply_procedure_rows
 from oracles import P_MAX, GivenThresholds, group_counts, ks_uniform, mixture_identity_exact
 
 
@@ -49,9 +48,7 @@ def draw_rows(params, seed, n):
 def pooled_and_null_counts(procedure, s, rows=1):
     """(rejected, false_rejections): the pooled and null counts of p <= t
     from the kernel's tally of `rows` copies of one sample's statistics."""
-    _, rejected, false_rej, _ = _apply_procedure_rows(
-        procedure, np.tile(s.x, (rows, 1)), np.count_nonzero(~s.tau)
-    )
+    _, rejected, false_rej = procedure.tally(np.tile(s.x, (rows, 1)), np.count_nonzero(~s.tau))
     return rejected, false_rej
 
 

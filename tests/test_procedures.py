@@ -1,9 +1,10 @@
-"""BH step-up threshold, rejection bookkeeping, and FDP counting.
+"""BH step-up threshold and rejection bookkeeping.
 
-The library thresholds and tallies blocks of statistics through one
-row-wise kernel, ``_apply_procedure_rows``, deciding every p <= g on the
-statistics; these tests run it on one row and check it against the p-values
-of those statistics.
+A procedure tallies a block of statistics row by row, ``procedure.tally(x,
+m0)``: the threshold, the rejections and the false rejections of each row,
+every p <= g decided on the statistics.  These tests tally one row, or a few,
+and check the tallies against the p-values of those statistics; the FDP a
+run derives from the tallies is checked in ``test_experiment.py``.
 """
 
 import numpy as np
@@ -22,12 +23,11 @@ from equifdp import (
     sample,
 )
 from equifdp.gaussian import _p_values, _x_band
-from equifdp.procedures import _apply_procedure_rows, _group_counts
+from equifdp.procedures import _group_counts
 from oracles import (
     GivenThresholds,
     bh_no_better_between,
     bh_threshold_scan_k,
-    fdp_recount,
     group_counts,
     p_values,
     statistic_with_p_value,
@@ -78,9 +78,9 @@ def p_value_counts(x, m0, cut):
 
 
 def tally(procedure, s):
-    """(threshold, rejected, false_rejections, fdp) of one sample."""
+    """(threshold, rejected, false_rejections) of one sample."""
     m0 = np.count_nonzero(~s.tau)
-    return tuple(col[0] for col in _apply_procedure_rows(procedure, s.x[None], m0))
+    return tuple(col[0] for col in procedure.tally(s.x[None], m0))
 
 
 # m = 15 and alpha = 0.3: the float line 0.3 * 6 / 15 rounds to
@@ -148,7 +148,7 @@ class TestBhThreshold:
         k = bh_threshold_scan_k(p_values(x), alpha)
         assert bh(x, alpha) == alpha * k / m
         # the tally rejects exactly the scan's k, however alpha*k/m rounds
-        assert _apply_procedure_rows(BH(alpha), x[None], m)[1][0] == k
+        assert BH(alpha).tally(x[None], m)[1][0] == k
 
     def test_order_statistic_between_a_float_line_and_its_exact_value(self):
         # the sixth p-value, 0.12, lies between the float line 0.3 * 6 / 15
@@ -160,13 +160,11 @@ class TestBhThreshold:
     def test_tally_rejects_k_where_the_float_line_rounds_below_p_k(self):
         # the same statistics: the threshold reported is the float
         # 0.3 * 6 / 15, below p_(6) = 0.12, yet the tally rejects all k = 6
-        # (all of them nulls)
+        # (all of them nulls, so its FDP is 1)
         x = np.array(TIE_WINDOW_X)
-        threshold, rejected, false_rej, fdp = (
-            col[0] for col in _apply_procedure_rows(BH(0.3), x[None], 15)
-        )
+        threshold, rejected, false_rej = (col[0] for col in BH(0.3).tally(x[None], 15))
         assert threshold == 0.3 * 6 / 15 < 0.12
-        assert rejected == false_rej == 6 and fdp == 1.0
+        assert rejected == false_rej == 6
 
 
 class TestApplyProcedure:
@@ -174,30 +172,22 @@ class TestApplyProcedure:
         params = ModelParams(m=20, pi0=0.5, mu=2.0, rho=0.0)
         s = sample(params, RngStream(4, 0))
         tiny = float(s.p.min()) / 2
-        _, rejected, _, fdp = tally(FixedThreshold(tiny), s)
-        assert rejected == 0 and fdp == 0.0
+        _, rejected, false_rej = tally(FixedThreshold(tiny), s)
+        assert rejected == false_rej == 0
 
     def test_all_nulls_no_alternatives_rejected(self):
+        # rejected = false rejections: an FDP of 1
         p = np.array([0.01, 0.02, 0.8, 0.9])
         s = Sample(tau=np.array([False, False, True, True]), x=statistics(p), p=p)
-        _, rejected, false_rej, fdp = tally(FixedThreshold(0.05), s)
+        _, rejected, false_rej = tally(FixedThreshold(0.05), s)
         assert rejected == 2 and false_rej == 2
-        assert fdp == 1.0
 
     def test_ties_at_threshold_are_rejected(self):
         p = np.array([0.3, 0.1, 0.9])
         x = np.array([statistic_with_p_value(0.3), *statistics(p[1:])])
         s = Sample(tau=np.array([False, True, True]), x=x, p=p)
-        _, rejected, _, _ = tally(FixedThreshold(0.3), s)
+        _, rejected, _ = tally(FixedThreshold(0.3), s)
         assert rejected == 2  # p = 0.3 exactly counts
-
-    def test_matches_brute_force_recount(self):
-        params = ModelParams(m=20, pi0=0.5, mu=2.0, rho=0.1)
-        for r in range(50):
-            s = sample(params, RngStream(6, r))
-            threshold, rejected, false_rej, fdp = tally(BH(0.2), s)
-            assert fdp == fdp_recount(s.tau, s.p, threshold)
-            assert false_rej <= rejected <= 20
 
     def test_count_identity_with_ecdf(self):
         # rejected = m * pooled_ecdf(threshold), exactly in integer counts,
@@ -205,38 +195,20 @@ class TestApplyProcedure:
         params = ModelParams(m=35, pi0=0.5, mu=1.5, rho=0.0)
         for r in range(20):
             s = sample(params, RngStream(12, r))
-            threshold, rejected, false_rej, _ = tally(BH(0.3), s)
+            threshold, rejected, false_rej = tally(BH(0.3), s)
             null, alt = group_counts(s.tau, s.p, [threshold])
             assert rejected == null[0] + alt[0]
             assert false_rej == null[0]
 
 
-class TestFdpAt:
-    """The kernel's tally read at a given threshold t."""
-
-    def test_zero_threshold(self):
-        params = ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0)
-        s = sample(params, RngStream(2, 0))
-        assert tally(GivenThresholds(0.0), s)[3] == 0.0
-
-    def test_one_threshold_gives_null_fraction(self):
-        params = ModelParams(m=10, pi0=0.7, mu=1.0, rho=0.0)
-        s = sample(params, RngStream(2, 1))
-        assert tally(GivenThresholds(1.0), s)[3] == 7 / 10
-
-    def test_median_matches_recount(self):
-        params = ModelParams(m=10, pi0=0.5, mu=1.0, rho=0.0)
-        s = sample(params, RngStream(2, 2))
-        t = float(np.median(s.p))
-        assert tally(GivenThresholds(t), s)[3] == fdp_recount(s.tau, s.p, t)
+class TestTallyAt:
+    """A tally read at a given threshold t."""
 
     def test_counts_monotone_in_threshold(self):
         params = ModelParams(m=30, pi0=0.5, mu=1.0, rho=0.0)
         s = sample(params, RngStream(2, 3))
         ts = np.linspace(0.0, 1.0, 50)
-        _, den, num, _ = _apply_procedure_rows(
-            GivenThresholds(ts), np.tile(s.x, (50, 1)), np.count_nonzero(~s.tau)
-        )
+        _, den, num = GivenThresholds(ts).tally(np.tile(s.x, (50, 1)), np.count_nonzero(~s.tau))
         assert all(a <= b for a, b in zip(num, num[1:]))
         assert all(a <= b for a, b in zip(den, den[1:]))
         assert den[0] == 0 and den[-1] == 30
@@ -299,7 +271,7 @@ class TestDecisionsOnStatistics:
         x = np.array(data.draw(st.lists(x_st, min_size=rows * m, max_size=rows * m), label="x"))
         x = x.reshape(rows, m)
         m0 = data.draw(st.integers(0, m), label="m0")
-        threshold, rejected, false_rej, _ = _apply_procedure_rows(BH(alpha), x, m0)
+        threshold, rejected, false_rej = BH(alpha).tally(x, m0)
         p = _p_values(x)
         k = np.array([bh_threshold_scan_k(row, alpha) for row in p])
         cut = np.where(k > 0, np.sort(p, axis=1)[np.arange(rows), k - 1], 0.0)
@@ -317,7 +289,5 @@ class TestDecisionsOnStatistics:
         # the band entries by their statistics would give k = 2
         x = np.array([0.5244005127080408, 0.8416212335729142, 0.8416212335729144])
         assert list(_p_values(x)) == [0.30000000000000004, 0.19999999999999996, 0.2]
-        threshold, rejected, false_rej, fdp = (
-            col[0] for col in _apply_procedure_rows(BH(0.3), x[None], m0)
-        )
-        assert (threshold, rejected, false_rej, fdp) == (0.0, 0, 0, 0.0)
+        threshold, rejected, false_rej = (col[0] for col in BH(0.3).tally(x[None], m0))
+        assert (threshold, rejected, false_rej) == (0.0, 0, 0)
