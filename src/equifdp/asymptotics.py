@@ -62,6 +62,8 @@ _H_ROUNDING = 4 * float(np.finfo(float).eps)
 _GRID_K = np.arange(8) / 7  # the sign-pattern grid's exponents
 _ROUNDED = ("alpha={!r} is so close to 1 at pi0={!r} that h = G(t) - t/alpha right of t* "
             "is within its rounding error {:.1e}: the sign-pattern check cannot tell its sign")
+_G_ZERO = ("G(t) rounds to 0 at t={!r} (pi0={!r}, mu={!r}): G1(t) underflows and pi0 * t "
+           "rounds to 0, so the limiting FDP pi0 * t / G(t) has no value there")
 
 
 @dataclass(frozen=True)
@@ -81,24 +83,32 @@ class MixtureCdf:
 
     def alt_cdf(self, t):
         """c.d.f. of a p-value under the alternative, P(Z >= q(t) - mu) with
-        q the upper-tail quantile; >= t for all t.  Takes a float or a numpy
-        array.  A float is range-checked with two comparisons, an array with
-        numpy's reduction; both reject NaN.  ndtri maps 0 and 1 to -inf and
-        inf, so the endpoints are fixed points of the one formula and need no
-        mask."""
-        if not (0.0 <= t <= 1.0 if isinstance(t, float) else np.all((t >= 0.0) & (t <= 1.0))):
+        q the upper-tail quantile; >= t except where erfc underflows to 0
+        (at t = 5e-324 for mu = 0.5).  Takes a float or a numpy array.  A
+        float is range-checked with two comparisons, an array with numpy's
+        reduction; both reject NaN.  ndtri maps 0 and 1 to -inf and inf, so
+        the endpoints are fixed points of the one formula and need no mask.
+        A float stays a Python float between the ufuncs, which rounds as
+        the array path does."""
+        if isinstance(t, float):
+            if not 0.0 <= t <= 1.0:
+                raise ParameterError(f"t must lie in [0, 1], got {t!r}")
+            return 0.5 * float(special.erfc((-float(special.ndtri(t)) - self.mu) / _SQRT2))
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ParameterError(f"t must lie in [0, 1], got {t!r}")
-        out = 0.5 * special.erfc((-special.ndtri(t) - self.mu) / _SQRT2)
-        return out if isinstance(out, np.ndarray) else float(out)
+        out = 0.5 * special.erfc((-special.ndtri(np.asarray(t, dtype=float)) - self.mu) / _SQRT2)
+        return out if out.ndim else float(out)
 
     def alt_density(self, t):
         """Density of the alternative p-value law: exp(mu*q(t) - mu**2/2)
         with q the upper-tail quantile.  Defined on (0, 1); diverges at 0.
         Near the float maximum mu*q and mu**2 both overflow; inf - inf is
-        NaN there, but q < mu/2, so the exponent's limit is -inf (fmax
-        drops a NaN).  Takes a float or a numpy array."""
-        out = np.exp(np.fmax(self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu, -np.inf))
-        return out if isinstance(out, np.ndarray) else float(out)
+        NaN there, but q < mu/2, so the exponent's limit is -inf.  Takes a
+        float or a numpy array; a float stays a Python float up to np.exp."""
+        v = self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu
+        if isinstance(v, float):
+            return float(np.exp(-math.inf if math.isnan(v) else v))
+        return np.exp(np.fmax(v, -np.inf))
 
     def __call__(self, t):
         return self.pi0 * t + (1.0 - self.pi0) * self.alt_cdf(t)
@@ -109,12 +119,17 @@ class MixtureCdf:
 
     def fdp_limit(self, t):
         """Limiting FDP at threshold t: pi0 * t / G(t), with value 0 at t=0.
-        Takes a float or a numpy array."""
+        Takes a float or a numpy array.  Raises :class:`ParameterError` where
+        G(t) rounds to 0 at t > 0 (t near the smallest float, mu small)."""
         if isinstance(t, float):
             g = self(t)  # rejects t outside [0, 1], NaN included
+            if t > 0.0 and g == 0.0:
+                raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
             return float(self.pi0 * t / g) if t > 0.0 else 0.0
         arr = np.asarray(t, dtype=float)
         g = self(arr)  # rejects t outside [0, 1], NaN included
+        if np.any((g == 0.0) & (arr > 0.0)):
+            raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
         out = np.divide(self.pi0 * arr, g, out=np.zeros_like(arr), where=arr > 0.0)
         return float(out) if out.ndim == 0 else out
 
@@ -124,13 +139,18 @@ class MixtureCdf:
         falls below the normal floats (t below about 1e-154), losing digits
         or all of them, the numerator is divided by G(t) twice instead; an
         array chooses per element, so each agrees with the float path.
-        Takes a float or a numpy array."""
+        Takes a float or a numpy array.  Raises :class:`ParameterError`
+        where G(t) rounds to 0, as :meth:`fdp_limit` does."""
         g = self(t)
         if isinstance(t, float):
             num = self.pi0 * (g - t * self.derivative(t))
+            if g == 0.0:
+                raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
             gg = g * g
             return float(num / gg if gg >= _TINY else num / g / g)
         num = self.pi0 * (g - np.asarray(t, dtype=float) * self.derivative(t))
+        if np.any(g == 0.0):
+            raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
         gg = g * g
         out = np.asarray(num / g / g)
         np.divide(num, gg, out=out, where=gg >= _TINY)

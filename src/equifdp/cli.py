@@ -300,8 +300,7 @@ def _cmd_run(args) -> int:
     _echo_config(outdir, args, echo | {"workers": args.workers})
     if m_grid is None:
         write_replicates_csv(summary, outdir / "replicates.csv")
-        write_summary_json(summary, outdir / "summary.json")
-        violations = check_tolerances(summary)
+        violations = write_summary_json(summary, outdir / "summary.json")["tolerance_violations"]
         failed, ratio = bool(violations), summary.variance_ratio
         cause = summary.warnings[-1] if ratio is None and summary.law is not None else "no theory"
         print(

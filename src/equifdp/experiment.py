@@ -427,8 +427,11 @@ def _write_csv(path, header: list, columns) -> None:
     Path(path).write_text("\r\n".join(lines), newline="")
 
 
-def write_summary_json(summary: ExperimentSummary, path) -> None:
-    _write_json(path, summary_to_dict(summary))
+def write_summary_json(summary: ExperimentSummary, path) -> dict:
+    """Writes summary_to_dict(summary) and returns it."""
+    report = summary_to_dict(summary)
+    _write_json(path, report)
+    return report
 
 
 def write_replicates_csv(summary: ExperimentSummary, path) -> None:

@@ -20,9 +20,11 @@ far tail.  ``phi_upper_inv`` is accurate to a few ulps (2**-50) over
 
 ``phi_upper_inv`` and ``std_normal_density`` take a float or a numpy array.
 A float (numpy's float64 included) is checked with plain comparisons and
-``math.isfinite`` and returned as a Python float.  The special function is
-the same ufunc on both paths, so the two agree bit for bit; ``math.exp``
-and ``math.erfc`` would not (their last bits can differ).
+``math.isfinite``.  The special function is the same ufunc on both paths;
+on the float path its result becomes a Python float as soon as it returns,
+and the arithmetic around it is Python float arithmetic, which rounds as
+numpy's float64 does.  So the two paths agree bit for bit; ``math.exp`` and
+``math.erfc`` would not (their last bits can differ).
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .errors import ParameterError
 
 __all__ = ["phi_upper", "phi_upper_inv", "std_normal_density"]
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _DENSITY_ZERO_FROM = 40.0
 
 
@@ -72,7 +74,7 @@ def phi_upper_inv(t):
             raise ParameterError(f"t must be finite, got {t!r}")
         if not 0.0 < t < 1.0:
             raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
-        return float(-special.ndtri(t))
+        return -float(special.ndtri(t))
     arr = _as_finite_array(t, "t")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
@@ -92,8 +94,8 @@ def std_normal_density(z):
     if isinstance(z, float):
         if not math.isfinite(z):
             raise ParameterError(f"z must be finite, got {z!r}")
-        a = min(abs(z), _DENSITY_ZERO_FROM)
-        return float(_INV_SQRT_2PI * np.exp(-0.5 * a * a))
+        a = min(abs(float(z)), _DENSITY_ZERO_FROM)
+        return _INV_SQRT_2PI * float(np.exp(-0.5 * a * a))
     arr = _as_finite_array(z, "z")
     arr = np.minimum(np.abs(arr), _DENSITY_ZERO_FROM)
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)

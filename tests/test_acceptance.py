@@ -15,6 +15,8 @@ in ``oracles.py``, and checks by computation that the finite-m law and the
 conditional FDP slope approach N(0, c^2) and c from m = 1e3 to m = 1e4.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import special
@@ -165,6 +167,24 @@ def test_c03_generic_pipeline_matches_closed_forms():
     ok = worst <= 1e-10
     report(3, ok, f"144-point grid: max relative gap {worst:.2e} (tol 1e-10)")
     assert ok
+
+
+# Every law of the 144-point grid in three regimes, bit for bit: sha256 over
+# the repr of each law's to_dict() items, in grid order.  Criteria 2 and 3
+# check these laws only to their tolerances.
+GRID_SEQUENCES = (ThetaOverM(0.0), ThetaOverM(4.0), PowerLaw(1.0, 0.5))
+GRID_LAW_PIN = "fbf02e447fd76bd0c09f86a4a139cb20a08243f63d7ab475773ab222ff049bc0"
+
+
+def test_grid_law_digest_pin():
+    h = hashlib.sha256()
+    for pi0 in PI0_GRID:
+        for mu in MU_GRID:
+            for alpha in ALPHA_GRID:
+                for seq in GRID_SEQUENCES:
+                    law = asymptotic_law(MixtureCdf(pi0, mu), BH(alpha), seq)
+                    h.update(repr(list(law.to_dict().items())).encode())
+    assert h.hexdigest() == GRID_LAW_PIN
 
 
 def test_c04_case_i_theta_zero_clt(theta0_summary):

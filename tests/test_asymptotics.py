@@ -46,6 +46,7 @@ from oracles import (
     central_difference,
     conditional_bh_fdp,
 )
+from test_gaussian import FAR_LEFT
 
 # pinned with 60-digit bisection before the build
 T_STAR_REF = 0.08059968470029045  # pi0=0.5, mu=2, alpha=0.2
@@ -56,11 +57,13 @@ G_HALF_REF = 0.738624934025910396  # G(0.5) at pi0=0.5, mu=2
 SIGMA2_TINY_T_REF = 4.2921974339387162e237  # pi0=0.5, mu=2, t=1e-300
 
 MU_GRID = (0.5, 1.0, 2.0, 4.0)
+ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
 
 
 def brentq_points(cdf, monkeypatch):
-    """Edge and interior points of [0, 1], and every float at which the
-    Brent loop of bh_fixed_point(cdf, 0.2) evaluates G."""
+    """Edge and interior points of [0, 1], the slide's left ends, and every
+    float at which bh_fixed_point(cdf, alpha) evaluates G for each alpha of
+    the acceptance grid."""
     visited, alt_cdf = [], MixtureCdf.alt_cdf
 
     def recording(self, t):
@@ -70,9 +73,11 @@ def brentq_points(cdf, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(MixtureCdf, "alt_cdf", recording)
-        bh_fixed_point(cdf, 0.2)
-    assert len(visited) > 10
-    return [0.0, 5e-324, 1e-300, 1e-14, 0.05, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0, *visited]
+        for alpha in ALPHA_GRID:
+            bh_fixed_point(cdf, alpha)
+    assert len(visited) > 40
+    edges = [0.0, 1e-300, 1e-14, 0.05, 0.5, 1 - 1e-14, 1 - 2**-53, 1.0]
+    return [*edges, *FAR_LEFT, *visited]
 
 
 class TestMixtureCdf:
@@ -133,21 +138,32 @@ class TestMixtureCdf:
             with pytest.raises(ParameterError):
                 f(t)
 
-    def test_float_and_array_branches_agree_bit_for_bit(self, monkeypatch):
-        cdf = MixtureCdf(0.5, 2.0)
+    @pytest.mark.parametrize("mu", MU_GRID)
+    def test_float_and_array_branches_agree_bit_for_bit(self, mu, monkeypatch):
+        cdf = MixtureCdf(0.5, mu)
         points = brentq_points(cdf, monkeypatch)
+        assert_branches_agree(cdf.alt_cdf, points)
         bits = lambda x: np.float64(x).tobytes()
         for t in points:
-            for f in (cdf.alt_cdf, cdf):
-                assert bits(f(t)) == bits(f(np.array([t]))[0]), (f, t)
+            assert bits(cdf(t)) == bits(cdf(np.array([t]))[0]), t
 
-    def test_float_branches_of_fdp_and_density_agree_bit_for_bit(self, monkeypatch):
-        cdf = MixtureCdf(0.5, 2.0)
+    @pytest.mark.parametrize("mu", MU_GRID)
+    def test_float_branches_of_fdp_and_density_agree_bit_for_bit(self, mu, monkeypatch):
+        cdf = MixtureCdf(0.5, mu)
         points = brentq_points(cdf, monkeypatch)
-        assert_branches_agree(cdf.fdp_limit, points)
         inner = [t for t in points if 0.0 < t < 1.0]  # the quantile diverges at 0 and 1
-        for f in (cdf.fdp_limit_deriv, cdf.alt_density, cdf.derivative):
+        for f in (cdf.alt_density, cdf.derivative):
             assert_branches_agree(f, inner)
+        # at mu = 0.5, G rounds to 0 at the smallest float: both branches reject it
+        zero = [t for t in inner if cdf(t) == 0.0]
+        assert_branches_agree(cdf.fdp_limit, [t for t in points if t not in zero])
+        assert_branches_agree(cdf.fdp_limit_deriv, [t for t in inner if t not in zero])
+        assert (zero == [5e-324]) == (mu == 0.5)
+        for f in (cdf.fdp_limit, cdf.fdp_limit_deriv):
+            for t in zero:
+                assert_rejects_as_array(f, t)
+                with pytest.raises(ParameterError, match=r"G\(t\) rounds to 0"):
+                    f(t)
 
     def test_deriv_of_a_mixed_array_agrees_with_the_float_path(self):
         # one element below the G**2 floor must not move the others off the
@@ -158,9 +174,10 @@ class TestMixtureCdf:
         assert cdf.fdp_limit_deriv(t).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("cast", [float, np.float64])
-    @pytest.mark.parametrize("bad", [-1e-300, 1.5])
-    def test_float_branch_of_fdp_rejects_as_the_array_branch(self, bad, cast):
-        cdf = MixtureCdf(0.5, 2.0)
+    @pytest.mark.parametrize("mu,bad", [(2.0, -1e-300), (2.0, 1.5), (1e-10, 5e-324)])
+    def test_float_branch_of_fdp_rejects_as_the_array_branch(self, mu, bad, cast):
+        # at mu = 1e-10, erfc underflows at 5e-324 and pi0 * t rounds to 0: G(t) = 0
+        cdf = MixtureCdf(0.5, mu)
         for f in (cdf.fdp_limit, cdf.fdp_limit_deriv):
             assert_rejects_as_array(f, cast(bad))
 

@@ -347,9 +347,12 @@ class TestSimulate:
         assert run_cli(SIM_ARGS + ["--out", str(out), "--check"]) == 0
 
     def test_check_flag_turns_violations_into_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "check_tolerances", lambda s: ["forced violation"])
+        # the exit code reads the violations summary.json records
+        monkeypatch.setattr(equifdp.experiment, "check_tolerances", lambda s: ["forced violation"])
         out = tmp_path / "bad"
         assert run_cli(SIM_ARGS + ["--out", str(out), "--check"]) == cli.EXIT_CHECK_FAILED
+        summary = load_json((out / "summary.json").read_text())
+        assert summary["tolerance_violations"] == ["forced violation"]
 
     def test_allocation_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         # numpy raises a MemoryError subclass where a block cannot be allocated

@@ -10,6 +10,18 @@ import pytest
 from equifdp import ParameterError, phi_upper, phi_upper_inv, std_normal_density
 from oracles import assert_branches_agree, assert_rejects_as_array
 
+
+def _far_left():
+    """The left ends the bracket slide of bh_fixed_point tries below 1e-14,
+    1e-22 down to 1e-286, made as it makes them, and the smallest float."""
+    points, left = [], 1e-14
+    while (left := left * 1e-8) >= 1e-290:
+        points.append(left)
+    return [*points, 5e-324]
+
+
+FAR_LEFT = _far_left()
+
 # (z, P(Z >= z)); spans upper-tail probabilities from ~1 - 1e-16 down to
 # ~5.7e-300, i.e. the whole normally-representable range
 UPPER_TAIL_TABLE = [
@@ -145,7 +157,7 @@ class TestPhiUpperInv:
             phi_upper_inv(bad)
 
     def test_float_and_array_branches_agree_bit_for_bit(self):
-        assert_branches_agree(phi_upper_inv, [5e-324, 1e-300, 0.05, 0.5, 1 - 2**-53])
+        assert_branches_agree(phi_upper_inv, [1e-300, 0.05, 0.5, 1 - 2**-53, *FAR_LEFT])
 
     @pytest.mark.parametrize("cast", [float, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.0])
@@ -178,7 +190,7 @@ class TestDensity:
     def test_float_and_array_branches_agree_bit_for_bit(self):
         # math.exp(-3.125) is an ulp off np.exp's; 8.5 tells a division by
         # sqrt(2*pi) from the product with its reciprocal
-        points = [0.0, 1e-300, 2.5, 8.5, 37.5, 38.6, 40.0, 1e308]
+        points = [0.0, 1e-300, 2.5, 8.5, 37.5, 38.6, 40.0, 1e308, *FAR_LEFT]
         assert_branches_agree(std_normal_density, points + [-z for z in points])
 
     @pytest.mark.parametrize("cast", [float, np.float64])
