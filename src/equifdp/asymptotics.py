@@ -39,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special as _cs
 
 from .errors import BracketingError, FixedPointUnderflowError, ParameterError, RegimeError
 from .gaussian import _SQRT2, phi_upper_inv, std_normal_density
@@ -62,6 +63,9 @@ _H_ROUNDING = 4 * float(np.finfo(float).eps)
 _GRID_K = np.arange(8) / 7  # the sign-pattern grid's exponents
 _ROUNDED = ("alpha={!r} is so close to 1 at pi0={!r} that h = G(t) - t/alpha right of t* "
             "is within its rounding error {:.1e}: the sign-pattern check cannot tell its sign")
+_LOG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows above it
+_OVERFLOW = ("the alternative density exp(mu * q(t) - mu**2 / 2) overflows at t={!r} "
+             "(mu={!r}): its exponent exceeds log(max float) = 709.78")
 _G_ZERO = ("G(t) rounds to 0 at t={!r} (pi0={!r}, mu={!r}): G1(t) underflows and pi0 * t "
            "rounds to 0, so the limiting FDP pi0 * t / G(t) has no value there")
 
@@ -88,12 +92,15 @@ class MixtureCdf:
         float is range-checked with two comparisons, an array with numpy's
         reduction; both reject NaN.  ndtri maps 0 and 1 to -inf and inf, so
         the endpoints are fixed points of the one formula and need no mask.
-        A float stays a Python float between the ufuncs, which rounds as
-        the array path does."""
+        A float calls ``cython_special``'s ndtri and erfc, an array the
+        ufuncs of the same names: the same C kernels, which
+        ``test_gaussian.py::test_cython_special_kernels_are_the_ufuncs``
+        pins bit for bit.  Between the kernels a float stays a Python
+        float, which rounds as the array path does."""
         if isinstance(t, float):
             if not 0.0 <= t <= 1.0:
                 raise ParameterError(f"t must lie in [0, 1], got {t!r}")
-            return 0.5 * float(special.erfc((-float(special.ndtri(t)) - self.mu) / _SQRT2))
+            return 0.5 * _cs.erfc((-_cs.ndtri(t) - self.mu) / _SQRT2)
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ParameterError(f"t must lie in [0, 1], got {t!r}")
         out = 0.5 * special.erfc((-special.ndtri(np.asarray(t, dtype=float)) - self.mu) / _SQRT2)
@@ -104,14 +111,24 @@ class MixtureCdf:
         with q the upper-tail quantile.  Defined on (0, 1); diverges at 0.
         Near the float maximum mu*q and mu**2 both overflow; inf - inf is
         NaN there, but q < mu/2, so the exponent's limit is -inf.  Takes a
-        float or a numpy array; a float stays a Python float up to np.exp."""
+        float or a numpy array; a float stays a Python float up to np.exp.
+        Raises :class:`ParameterError` where the density overflows: the
+        exponent can pass log(max float) only for subnormal t and mu near
+        q(t) (at t = 5e-324 for mu between 30.71 and 46.22)."""
         v = self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu
         if isinstance(v, float):
+            if v > _LOG_MAX:
+                raise ParameterError(_OVERFLOW.format(t, self.mu))
             return float(np.exp(-math.inf if math.isnan(v) else v))
+        if np.any(v > _LOG_MAX):
+            raise ParameterError(_OVERFLOW.format(t, self.mu))
         return np.exp(np.fmax(v, -np.inf))
 
     def __call__(self, t):
-        return self.pi0 * t + (1.0 - self.pi0) * self.alt_cdf(t)
+        g1 = self.alt_cdf(t)  # rejects t outside [0, 1] as the caller gave it
+        if type(t) is not float and isinstance(t, float):
+            t = float(t)  # numpy's float64: pi0 * t would be a numpy scalar
+        return self.pi0 * t + (1.0 - self.pi0) * g1
 
     def derivative(self, t):
         """dG/dt = pi0 + (1 - pi0) * alt_density(t), for t in (0, 1)."""
@@ -212,9 +229,10 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     runs again on the last slide step's bracket, a factor of 1e8 wide.
     Uniqueness is then checked on 16 points: h must be positive at 8
     geometric points from the left end to t*/2 and negative at 8 even
-    points from t* + (1 - t*)/20 to 1 - 1e-10, all evaluated in one array
-    call of G.  The points only decide signs, so :func:`_sign_grid` builds
-    them in closed form rather than as numpy's geomspace and linspace.
+    points from t* + (1 - t*)/20 to 1 - 1e-10, each on G's float path, so
+    a fixed point makes no array call of G.  The points only decide signs,
+    so :func:`_sign_grid` builds them in closed form rather than as
+    numpy's geomspace and linspace.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats, handed the values of h at the bracket ends that the
@@ -274,8 +292,7 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
         raise ParameterError(_NEAR_ONE.format(alpha, cdf.pi0))
 
     # uniqueness pattern: h > 0 strictly left of the root, h < 0 strictly right
-    grid = _sign_grid(left, root)
-    signs = (cdf(grid) - grid / alpha).tolist()
+    signs = [cdf(t) - t / alpha for t in _sign_grid(left, root).tolist()]
     if any(v <= 0.0 for v in signs[:8]):
         raise BracketingError("sign pattern left of the fixed point is not positive")
     if (right := max(signs[8:])) >= 0.0:

@@ -20,11 +20,16 @@ far tail.  ``phi_upper_inv`` is accurate to a few ulps (2**-50) over
 
 ``phi_upper_inv`` and ``std_normal_density`` take a float or a numpy array.
 A float (numpy's float64 included) is checked with plain comparisons and
-``math.isfinite``.  The special function is the same ufunc on both paths;
-on the float path its result becomes a Python float as soon as it returns,
-and the arithmetic around it is Python float arithmetic, which rounds as
-numpy's float64 does.  So the two paths agree bit for bit; ``math.exp`` and
-``math.erfc`` would not (their last bits can differ).
+``math.isfinite``.  Float paths call the special functions of
+``scipy.special.cython_special``, which return Python floats; array paths
+call the ufuncs of ``scipy.special``.  Both run the same C kernels, and
+``tests/test_gaussian.py::test_cython_special_kernels_are_the_ufuncs`` pins
+ndtri and erfc bit for bit on a fixed point set, so a scipy whose two
+differ fails there rather than moving a limit law.  The arithmetic around
+a kernel is Python float arithmetic on the float path, which rounds as
+numpy's float64 does.  So the two paths agree bit for bit; ``math.exp``
+and ``math.erfc`` would not (their last bits can differ), and
+``std_normal_density`` calls ``np.exp`` on both.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import math
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special as _cs
 
 from .errors import ParameterError
 
@@ -74,7 +80,7 @@ def phi_upper_inv(t):
             raise ParameterError(f"t must be finite, got {t!r}")
         if not 0.0 < t < 1.0:
             raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
-        return -float(special.ndtri(t))
+        return -_cs.ndtri(t)
     arr = _as_finite_array(t, "t")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")

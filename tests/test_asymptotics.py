@@ -142,10 +142,9 @@ class TestMixtureCdf:
     def test_float_and_array_branches_agree_bit_for_bit(self, mu, monkeypatch):
         cdf = MixtureCdf(0.5, mu)
         points = brentq_points(cdf, monkeypatch)
-        assert_branches_agree(cdf.alt_cdf, points)
-        bits = lambda x: np.float64(x).tobytes()
-        for t in points:
-            assert bits(cdf(t)) == bits(cdf(np.array([t]))[0]), t
+        # G of numpy's float64 is a Python float too
+        for f in (cdf.alt_cdf, cdf):
+            assert_branches_agree(f, points)
 
     @pytest.mark.parametrize("mu", MU_GRID)
     def test_float_branches_of_fdp_and_density_agree_bit_for_bit(self, mu, monkeypatch):
@@ -164,6 +163,20 @@ class TestMixtureCdf:
                 assert_rejects_as_array(f, t)
                 with pytest.raises(ParameterError, match=r"G\(t\) rounds to 0"):
                     f(t)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_density_overflow_is_a_parameter_error(self, cast):
+        # mu * q(t) - mu**2 / 2 at mu = 38.5 is 708.9 at t = 1e-310, and 732.0
+        # and 739.8 at 1e-320 and 5e-324, past log(max float) = 709.78
+        cdf = MixtureCdf(0.5, 38.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (cdf.alt_density, cdf.derivative, cdf.fdp_limit_deriv):
+                assert math.isfinite(f(cast(1e-310)))
+                for t in (1e-320, 5e-324):
+                    assert_rejects_as_array(f, cast(t))
+                    with pytest.raises(ParameterError, match=r"exceeds log\(max float\)"):
+                        f(cast(t))
 
     def test_deriv_of_a_mixed_array_agrees_with_the_float_path(self):
         # one element below the G**2 floor must not move the others off the
@@ -219,6 +232,17 @@ class TestFixedPoint:
         with pytest.raises(FixedPointUnderflowError, match="below double range"):
             bh_fixed_point(MixtureCdf(pi0, mu), alpha)
         assert issubclass(FixedPointUnderflowError, BracketingError)
+
+    def test_fixed_point_stays_on_floats_across_the_acceptance_grid(self):
+        # no array call of G: every evaluation is a Python float, the
+        # 16-point sign check's included
+        for pi0 in [round(0.1 * k, 1) for k in range(1, 10)]:
+            for mu in MU_GRID:
+                for alpha in ALPHA_GRID:
+                    cdf = _FloatsOnly(pi0, mu)
+                    assert bh_fixed_point(cdf, alpha) == bh_fixed_point(MixtureCdf(pi0, mu), alpha)
+                    assert {type(t) for t in cdf.calls} == {float}
+                    assert len(cdf.calls) >= 18  # the bracket's two ends and the 16 points
 
     @pytest.mark.parametrize(
         "window, lift, message",
@@ -296,6 +320,18 @@ class _Lifted(MixtureCdf):
 
     def __call__(self, t):
         return super().__call__(t) + np.where((self.lo < t) & (t < self.hi), self.lift, 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FloatsOnly(MixtureCdf):
+    """G that records each t it is called with and fails on an array."""
+
+    calls: list = dataclasses.field(default_factory=list, compare=False)
+
+    def __call__(self, t):
+        assert not isinstance(t, np.ndarray), t
+        self.calls.append(t)
+        return super().__call__(t)
 
 
 @dataclasses.dataclass(frozen=True)

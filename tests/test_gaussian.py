@@ -2,10 +2,13 @@
 high-precision reference values (60-digit arithmetic; see
 tools/gen_gaussian_tables.py)."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.special import cython_special
 
 from equifdp import ParameterError, phi_upper, phi_upper_inv, std_normal_density
 from oracles import assert_branches_agree, assert_rejects_as_array
@@ -72,6 +75,32 @@ DENSITY_TABLE = [
     (2.0, 0.0539909665131880519505642004107),
     (-1.5, 0.129517595665891727614099557955),
 ]
+
+
+def _kernel_points(rng):
+    """Seeded arguments of ndtri and erfc: t log-uniform down to the smallest
+    float and within 10**-16 of 1, z in [-40, 40], the slide's left ends,
+    the edges 0, -0, 1, +-inf and NaN, and ndtri's out-of-range -1 and 2."""
+    edges = [0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan]
+    t = [10.0 ** rng.uniform(-323.3, 0.0, 20000), 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 5000)]
+    z = rng.uniform(-40.0, 40.0, 20000)
+    return np.concatenate([*t, FAR_LEFT, edges]), np.concatenate([z, edges])
+
+
+def test_cython_special_kernels_are_the_ufuncs():
+    # float paths call cython_special, array paths the ufuncs; every law
+    # rests on the two giving the same bits, which a scipy upgrade could
+    # break
+    t, z = _kernel_points(np.random.default_rng(30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scalar, ufunc, points in [
+            (cython_special.ndtri, special.ndtri, t),
+            (cython_special.erfc, special.erfc, z),
+        ]:
+            values = [scalar(x) for x in points.tolist()]
+            assert {type(v) for v in values} == {float}
+            assert np.array(values).tobytes() == ufunc(points).tobytes()
 
 
 class TestPhiUpper:
