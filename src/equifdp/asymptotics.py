@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 from scipy.special import cython_special as _cs
 
 from .errors import BracketingError, FixedPointUnderflowError, ParameterError, RegimeError
-from .gaussian import _SQRT2, phi_upper_inv, std_normal_density
+from .gaussian import _SQRT2, _each, phi_upper_inv, std_normal_density
 
 __all__ = [
     "MixtureCdf",
@@ -60,7 +59,6 @@ _RESIDUAL_TOL = 1e-12
 _NEAR_ONE = ("alpha={!r} is within about (1 - pi0) * 1e-10 of 1 at pi0={!r}: t* then lies "
              "within 1e-10 of 1, where its sign-pattern check has no room")
 _H_ROUNDING = 4 * float(np.finfo(float).eps)
-_GRID_K = np.arange(8) / 7  # the sign-pattern grid's exponents
 _ROUNDED = ("alpha={!r} is so close to 1 at pi0={!r} that h = G(t) - t/alpha right of t* "
             "is within its rounding error {:.1e}: the sign-pattern check cannot tell its sign")
 _LOG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows above it
@@ -88,47 +86,40 @@ class MixtureCdf:
     def alt_cdf(self, t):
         """c.d.f. of a p-value under the alternative, P(Z >= q(t) - mu) with
         q the upper-tail quantile; >= t except where erfc underflows to 0
-        (at t = 5e-324 for mu = 0.5).  Takes a float or a numpy array.  A
-        float is range-checked with two comparisons, an array with numpy's
-        reduction; both reject NaN.  ndtri maps 0 and 1 to -inf and inf, so
-        the endpoints are fixed points of the one formula and need no mask.
-        A float calls ``cython_special``'s ndtri and erfc, an array the
-        ufuncs of the same names: the same C kernels, which
+        (at t = 5e-324 for mu = 0.5).  Takes a float or an array, whose
+        elements run the float path one by one.  The range check's two
+        comparisons reject NaN.  ndtri maps 0 and 1 to -inf and inf, so the
+        endpoints are fixed points of the one formula and need no mask.
+        ndtri and erfc are ``cython_special``'s, the C kernels of the ufuncs
+        of the same names, which
         ``test_gaussian.py::test_cython_special_kernels_are_the_ufuncs``
-        pins bit for bit.  Between the kernels a float stays a Python
-        float, which rounds as the array path does."""
-        if isinstance(t, float):
-            if not 0.0 <= t <= 1.0:
-                raise ParameterError(f"t must lie in [0, 1], got {t!r}")
-            return 0.5 * _cs.erfc((-_cs.ndtri(t) - self.mu) / _SQRT2)
-        if not np.all((t >= 0.0) & (t <= 1.0)):
+        pins bit for bit."""
+        if type(t) is not float:
+            return _each(self.alt_cdf, t)
+        if not 0.0 <= t <= 1.0:
             raise ParameterError(f"t must lie in [0, 1], got {t!r}")
-        out = 0.5 * special.erfc((-special.ndtri(np.asarray(t, dtype=float)) - self.mu) / _SQRT2)
-        return out if out.ndim else float(out)
+        return 0.5 * _cs.erfc((-_cs.ndtri(t) - self.mu) / _SQRT2)
 
     def alt_density(self, t):
         """Density of the alternative p-value law: exp(mu*q(t) - mu**2/2)
         with q the upper-tail quantile.  Defined on (0, 1); diverges at 0.
         Near the float maximum mu*q and mu**2 both overflow; inf - inf is
         NaN there, but q < mu/2, so the exponent's limit is -inf.  Takes a
-        float or a numpy array; a float stays a Python float up to np.exp.
+        float or an array, whose elements run the float path one by one.
         Raises :class:`ParameterError` where the density overflows: the
         exponent can pass log(max float) only for subnormal t and mu near
         q(t) (at t = 5e-324 for mu between 30.71 and 46.22)."""
+        if type(t) is not float:
+            return _each(self.alt_density, t)
         v = self.mu * phi_upper_inv(t) - 0.5 * self.mu * self.mu
-        if isinstance(v, float):
-            if v > _LOG_MAX:
-                raise ParameterError(_OVERFLOW.format(t, self.mu))
-            return float(np.exp(-math.inf if math.isnan(v) else v))
-        if np.any(v > _LOG_MAX):
+        if v > _LOG_MAX:
             raise ParameterError(_OVERFLOW.format(t, self.mu))
-        return np.exp(np.fmax(v, -np.inf))
+        return float(np.exp(-math.inf if math.isnan(v) else v))
 
     def __call__(self, t):
-        g1 = self.alt_cdf(t)  # rejects t outside [0, 1] as the caller gave it
-        if type(t) is not float and isinstance(t, float):
-            t = float(t)  # numpy's float64: pi0 * t would be a numpy scalar
-        return self.pi0 * t + (1.0 - self.pi0) * g1
+        if type(t) is not float:
+            return _each(self, t)
+        return self.pi0 * t + (1.0 - self.pi0) * self.alt_cdf(t)
 
     def derivative(self, t):
         """dG/dt = pi0 + (1 - pi0) * alt_density(t), for t in (0, 1)."""
@@ -136,42 +127,30 @@ class MixtureCdf:
 
     def fdp_limit(self, t):
         """Limiting FDP at threshold t: pi0 * t / G(t), with value 0 at t=0.
-        Takes a float or a numpy array.  Raises :class:`ParameterError` where
+        Takes a float or an array.  Raises :class:`ParameterError` where
         G(t) rounds to 0 at t > 0 (t near the smallest float, mu small)."""
-        if isinstance(t, float):
-            g = self(t)  # rejects t outside [0, 1], NaN included
-            if t > 0.0 and g == 0.0:
-                raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
-            return float(self.pi0 * t / g) if t > 0.0 else 0.0
-        arr = np.asarray(t, dtype=float)
-        g = self(arr)  # rejects t outside [0, 1], NaN included
-        if np.any((g == 0.0) & (arr > 0.0)):
+        if type(t) is not float:
+            return _each(self.fdp_limit, t)
+        g = self(t)  # rejects t outside [0, 1], NaN included
+        if t > 0.0 and g == 0.0:
             raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
-        out = np.divide(self.pi0 * arr, g, out=np.zeros_like(arr), where=arr > 0.0)
-        return float(out) if out.ndim == 0 else out
+        return self.pi0 * t / g if t > 0.0 else 0.0
 
     def fdp_limit_deriv(self, t):
         """Derivative of the limiting FDP curve:
         pi0 * (G(t) - t * dG(t)) / G(t)**2, for t in (0, 1).  Where G(t)**2
         falls below the normal floats (t below about 1e-154), losing digits
-        or all of them, the numerator is divided by G(t) twice instead; an
-        array chooses per element, so each agrees with the float path.
-        Takes a float or a numpy array.  Raises :class:`ParameterError`
-        where G(t) rounds to 0, as :meth:`fdp_limit` does."""
+        or all of them, the numerator is divided by G(t) twice instead.
+        Takes a float or an array.  Raises :class:`ParameterError` where
+        G(t) rounds to 0, as :meth:`fdp_limit` does."""
+        if type(t) is not float:
+            return _each(self.fdp_limit_deriv, t)
         g = self(t)
-        if isinstance(t, float):
-            num = self.pi0 * (g - t * self.derivative(t))
-            if g == 0.0:
-                raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
-            gg = g * g
-            return float(num / gg if gg >= _TINY else num / g / g)
-        num = self.pi0 * (g - np.asarray(t, dtype=float) * self.derivative(t))
-        if np.any(g == 0.0):
+        num = self.pi0 * (g - t * self.derivative(t))
+        if g == 0.0:
             raise ParameterError(_G_ZERO.format(t, self.pi0, self.mu))
         gg = g * g
-        out = np.asarray(num / g / g)
-        np.divide(num, gg, out=out, where=gg >= _TINY)
-        return float(out) if out.ndim == 0 else out
+        return num / gg if gg >= _TINY else num / g / g
 
 
 def _brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter):
@@ -229,10 +208,11 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     runs again on the last slide step's bracket, a factor of 1e8 wide.
     Uniqueness is then checked on 16 points: h must be positive at 8
     geometric points from the left end to t*/2 and negative at 8 even
-    points from t* + (1 - t*)/20 to 1 - 1e-10, each on G's float path, so
-    a fixed point makes no array call of G.  The points only decide signs,
-    so :func:`_sign_grid` builds them in closed form rather than as
-    numpy's geomspace and linspace.
+    points from t* + (1 - t*)/20 to 1 - 1e-10.  The points only decide
+    signs, so :func:`_sign_grid` builds them in closed form on Python
+    floats rather than as numpy's geomspace and linspace.  Every
+    evaluation of G is a Python float, so a fixed point never takes the
+    array adapter.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats, handed the values of h at the bracket ends that the
@@ -292,7 +272,7 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
         raise ParameterError(_NEAR_ONE.format(alpha, cdf.pi0))
 
     # uniqueness pattern: h > 0 strictly left of the root, h < 0 strictly right
-    signs = [cdf(t) - t / alpha for t in _sign_grid(left, root).tolist()]
+    signs = [cdf(t) - t / alpha for t in _sign_grid(left, root)]
     if any(v <= 0.0 for v in signs[:8]):
         raise BracketingError("sign pattern left of the fixed point is not positive")
     if (right := max(signs[8:])) >= 0.0:
@@ -302,13 +282,14 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     return root
 
 
-def _sign_grid(left: float, root: float) -> np.ndarray:
+def _sign_grid(left: float, root: float) -> list[float]:
     """The 16 points of the sign-pattern check: 8 geometric points from
     `left` to root/2, then 8 even points from root + (1 - root)/20 to
     1 - 1e-10, both in closed form on the exponents k/7, k = 0..7."""
-    start = root + 0.05 * (1.0 - root)
-    left_grid = left * (root * 0.5 / left) ** _GRID_K
-    return np.concatenate((left_grid, start + (1.0 - 1e-10 - start) * _GRID_K))
+    start, ratio = root + 0.05 * (1.0 - root), root * 0.5 / left
+    return [left * ratio ** (k / 7) for k in range(8)] + [
+        start + (1.0 - 1e-10 - start) * (k / 7) for k in range(8)
+    ]
 
 
 # --- point-mass weights and the two variance components ---------------------

@@ -320,7 +320,7 @@ def ecdf_covariance_probe(
             f"replicates must be an integer >= 2 for a covariance, got {replicates!r}"
         )
     _check_streams(seed, stream_offset, replicates)
-    g1 = np.asarray(params.cdf.alt_cdf(grid))
+    g1 = params.cdf.alt_cdf(grid)
     m, m0 = params.base.m, params.base.m0
     counts0 = np.empty((replicates, grid.size), dtype=np.int64)
     counts1 = np.empty((replicates, grid.size), dtype=np.int64)

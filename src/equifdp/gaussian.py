@@ -18,18 +18,19 @@ far tail.  ``phi_upper_inv`` is accurate to a few ulps (2**-50) over
 [5e-324, 1 - 1e-16], so P(Z >= q) of its result q is within a relative
 2**-39 of t.
 
-``phi_upper_inv`` and ``std_normal_density`` take a float or a numpy array.
-A float (numpy's float64 included) is checked with plain comparisons and
-``math.isfinite``.  Float paths call the special functions of
-``scipy.special.cython_special``, which return Python floats; array paths
-call the ufuncs of ``scipy.special``.  Both run the same C kernels, and
+``phi_upper_inv`` and ``std_normal_density`` are written for one Python
+float, checked with plain comparisons and ``math.isfinite``.  Anything else
+(numpy's float64, a 0-d or n-d array, a list) goes through :func:`_each`,
+which calls the float path on each element, so a formula has one body.  The
+float path calls the special functions of ``scipy.special.cython_special``,
+which return Python floats, and does its arithmetic on Python floats.  The
+Monte Carlo path (``phi_upper``, ``_x_band``) calls the ufuncs of
+``scipy.special`` on whole arrays.  Both run the same C kernels, and
 ``tests/test_gaussian.py::test_cython_special_kernels_are_the_ufuncs`` pins
 ndtri and erfc bit for bit on a fixed point set, so a scipy whose two
-differ fails there rather than moving a limit law.  The arithmetic around
-a kernel is Python float arithmetic on the float path, which rounds as
-numpy's float64 does.  So the two paths agree bit for bit; ``math.exp``
-and ``math.erfc`` would not (their last bits can differ), and
-``std_normal_density`` calls ``np.exp`` on both.
+differ fails there rather than parting the limit laws from the runs.
+``math.exp`` and ``math.erfc`` would not match the ufuncs (their last bits
+can differ), so ``std_normal_density`` calls ``np.exp``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _DENSITY_ZERO_FROM = 40.0
 
 
-def _as_finite_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite, got {x!r}")
-    return arr
+def _each(f, t):
+    """f, a function of one Python float, on each element of t: an array of
+    t's shape, or a Python float where t is 0-d or a numpy scalar.  An
+    element f rejects raises as f raises it, the first one in C order."""
+    arr = np.asarray(t, dtype=float)
+    values = [f(x) for x in arr.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(arr.shape) if arr.ndim else values[0]
 
 
 def phi_upper(z):
@@ -63,49 +66,44 @@ def phi_upper(z):
     representable tail underflow to exactly 0.0 (z large positive) or round
     to 1.0 (z large negative).
     """
-    arr = _as_finite_array(z, "z")
+    arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"z must be finite, got {z!r}")
     out = 0.5 * special.erfc(arr / _SQRT2)
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def phi_upper_inv(t):
     """Upper-tail quantile: the z with P(Z >= z) = t, for t in (0, 1).
 
-    Inverse of :func:`phi_upper`.  Takes a float or a numpy array.  Raises
+    Inverse of :func:`phi_upper`.  Takes a float or an array.  Raises
     :class:`ParameterError` outside (0, 1); the open interval is required
     since the inverse diverges at the endpoints.
     """
-    if isinstance(t, float):
-        if not math.isfinite(t):
-            raise ParameterError(f"t must be finite, got {t!r}")
-        if not 0.0 < t < 1.0:
-            raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
-        return -_cs.ndtri(t)
-    arr = _as_finite_array(t, "t")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if type(t) is not float:
+        return _each(phi_upper_inv, t)
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t!r}")
+    if not 0.0 < t < 1.0:
         raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
-    out = -special.ndtri(arr)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return -_cs.ndtri(t)
 
 
 def std_normal_density(z):
     """Standard normal density (2*pi)**-0.5 * exp(-z**2 / 2).
 
-    Takes a float or a numpy array.  Always positive.  Where a signed
+    Takes a float or an array.  Always positive.  Where a signed
     derivative of the upper-tail function is needed, the caller applies the
     minus sign explicitly: d/dz P(Z >= z) is ``-std_normal_density(z)``.
     """
+    if type(z) is not float:
+        return _each(std_normal_density, z)
+    if not math.isfinite(z):
+        raise ParameterError(f"z must be finite, got {z!r}")
     # |z| is clamped so the square cannot overflow; the density is 0.0 from
     # |z| = 38.6
-    if isinstance(z, float):
-        if not math.isfinite(z):
-            raise ParameterError(f"z must be finite, got {z!r}")
-        a = min(abs(float(z)), _DENSITY_ZERO_FROM)
-        return _INV_SQRT_2PI * float(np.exp(-0.5 * a * a))
-    arr = _as_finite_array(z, "z")
-    arr = np.minimum(np.abs(arr), _DENSITY_ZERO_FROM)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
+    a = min(abs(z), _DENSITY_ZERO_FROM)
+    return _INV_SQRT_2PI * float(np.exp(-0.5 * a * a))
 
 
 # smallest/largest p-values kept after clamping

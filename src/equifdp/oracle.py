@@ -19,6 +19,7 @@ delta, both of which vanish in the limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ class OracleParams:
     @property
     def mu_tilde(self) -> float:
         """Limiting mean shift of the transformed alternatives."""
-        return self.base.mu / np.sqrt(1.0 - self.base.rho)
+        return self.base.mu / math.sqrt(1.0 - self.base.rho)
 
     @property
     def cdf(self) -> MixtureCdf:
@@ -70,7 +71,7 @@ class OracleParams:
     def scale(self) -> float:
         """Standardizing factor sqrt(m / ((m-1) * (1-rho))); > 1 on (0, 1)."""
         m = self.base.m
-        return float(np.sqrt(m / ((m - 1) * (1.0 - self.base.rho))))
+        return math.sqrt(m / ((m - 1) * (1.0 - self.base.rho)))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """The oracle rescaling of statistics drawn from the base model, applied

@@ -4,8 +4,8 @@ Everything here is deliberately naive -- exhaustive scans, Python-loop
 recounts, central differences -- and stays independent of the library code
 paths it checks.  The exceptions are the stand-in procedure
 ``GivenThresholds``, which hands chosen cuts to the library's group count,
-and the two branch checks, which take a helper's array path as the oracle of
-its float path.
+and the two branch checks, which hold a helper's array adapter to its float
+path.
 """
 
 from bisect import bisect_right
@@ -244,9 +244,8 @@ def case_ii_reference_cdf(pi0, mu, alpha, m, rho, sigma2):
 
 
 def assert_branches_agree(f, points):
-    """f takes the float path for a float (numpy's float64 included) and the
-    array path for an array: both give the same float64 bytes, and the float
-    path a Python float."""
+    """f of a float, of numpy's float64 and of the array [t] give the same
+    float64 bytes, the first two as a Python float."""
     for t in points:
         want = f(np.array([t]))[0].tobytes()
         for x in (t, np.float64(t)):
@@ -257,7 +256,8 @@ def assert_branches_agree(f, points):
 
 def assert_rejects_as_array(f, x):
     """f rejects the float x as it rejects the array [x]: the same error
-    type, and the same message apart from the input's repr."""
+    type, and the same message, which names the offending element (the
+    array's first) rather than the array."""
     arr = np.array([x])
     with pytest.raises(ParameterError) as scalar_error:
         f(x)

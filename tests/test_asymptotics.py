@@ -37,7 +37,7 @@ from equifdp import (
     std_normal_density,
     variance_components,
 )
-from equifdp import asymptotics
+from equifdp import asymptotics, gaussian
 from equifdp.asymptotics import _ROOT_RTOL, _brentq, _sign_grid
 from oracles import (
     assert_branches_agree,
@@ -687,10 +687,77 @@ def test_sign_grid_lies_on_each_side_of_the_root(monkeypatch):
         brackets.append((left, left ** rng.uniform(0.0, 1.0)))
         brackets.append((left, left * rng.uniform(1.0, 2.0)))
     for left, root in brackets:
-        grid = _sign_grid(left, root)
+        grid = np.array(_sign_grid(left, root))
         assert grid.shape == (16,) and np.isfinite(grid).all(), (left, root)
         assert grid[0] == left and (grid[:8] < root).all(), (left, root)
         assert (grid[8:] > root).all() and (grid[8:] <= 1.0 - 1e-10).all(), (left, root)
+
+
+# --- the array adapter: every input but a Python float runs the float path
+# element by element ----------------------------------------------------------
+
+_CDF = MixtureCdf(0.5, 2.0)
+ADAPTED = {
+    "phi_upper_inv": phi_upper_inv,
+    "std_normal_density": std_normal_density,
+    "alt_cdf": _CDF.alt_cdf,
+    "alt_density": _CDF.alt_density,
+    "G": _CDF,
+    "fdp_limit": _CDF.fdp_limit,
+    "fdp_limit_deriv": _CDF.fdp_limit_deriv,
+}
+
+
+@pytest.mark.parametrize("f", ADAPTED.values(), ids=ADAPTED.keys())
+class TestArrayAdapter:
+    def test_an_array_keeps_its_shape_and_the_float_path_bits(self, f):
+        t = np.array([[1e-300, 0.01, 0.2], [0.5, 0.9, 1 - 2**-53]])
+        out = f(t)
+        assert out.shape == (2, 3) and out.dtype == np.float64
+        want = [[f(x) for x in row] for row in t.tolist()]
+        assert out.tobytes() == np.array(want).tobytes()
+
+    def test_an_empty_array_gives_an_empty_float_array(self, f):
+        for t in (np.array([]), np.empty((0, 3))):
+            out = f(t)
+            assert out.shape == t.shape and out.dtype == np.float64
+
+    def test_a_0d_array_and_a_numpy_float_give_a_python_float(self, f):
+        for t in (np.array(0.3), np.float64(0.3)):
+            value = f(t)
+            assert type(value) is float and value == f(0.3)
+
+    def test_a_list_is_accepted(self, f):
+        assert f([0.2, 0.6]).tobytes() == np.array([f(0.2), f(0.6)]).tobytes()
+
+    def test_an_array_names_its_first_offending_element(self, f):
+        with pytest.raises(ParameterError) as float_error:
+            f(math.inf)
+        with pytest.raises(ParameterError) as array_error:
+            f(np.array([[0.3, math.inf], [math.nan, 0.4]]))
+        assert str(array_error.value) == str(float_error.value)
+
+
+def test_no_law_takes_the_array_adapter(monkeypatch):
+    # every helper a law calls gets a Python float: the fixed point,
+    # fluctuation_weights, variance_components and the center alike
+    def fail(f, t):
+        raise AssertionError(f"{f!r} took the array adapter on {t!r}")
+
+    monkeypatch.setattr(gaussian, "_each", fail)
+    monkeypatch.setattr(asymptotics, "_each", fail)
+    sequences = (ThetaOverM(0.0), ThetaOverM(4.0), PowerLaw(1.0, 0.5))
+    laws = [
+        asymptotic_law(MixtureCdf(pi0, mu), BH(alpha), seq)
+        for pi0 in [round(0.1 * k, 1) for k in range(1, 10)]
+        for mu in MU_GRID
+        for alpha in ALPHA_GRID
+        for seq in sequences
+    ]
+    laws.append(asymptotic_law(MixtureCdf(0.5, 2.0), FixedThreshold(0.01), ThetaOverM(4.0)))
+    assert len(laws) == 433
+    for law in laws:
+        law.to_dict()
 
 
 class TestLimitCov:

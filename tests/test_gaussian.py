@@ -88,9 +88,11 @@ def _kernel_points(rng):
 
 
 def test_cython_special_kernels_are_the_ufuncs():
-    # float paths call cython_special, array paths the ufuncs; every law
-    # rests on the two giving the same bits, which a scipy upgrade could
-    # break
+    # the theory layer, and with it the probe's alternative c.d.f., calls
+    # cython_special; _p_values and _x_band, which make and decide the
+    # statistics a run and the probe count, call the ufuncs.  The pinned
+    # laws and probe outputs rest on the two giving the same bits, which a
+    # scipy upgrade could break
     t, z = _kernel_points(np.random.default_rng(30))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -39,6 +39,7 @@ def draw_block(params, seed, count):
 class TestOracleParams:
     def test_derived_quantities(self):
         params = OracleParams(BASE)
+        assert type(params.mu_tilde) is float and type(params.scale) is float
         assert params.mu_tilde == pytest.approx(2.0 / np.sqrt(0.7), rel=1e-15)
         assert params.cdf == MixtureCdf(0.5, params.mu_tilde)
         assert params.rho_seq == ThetaOverM(-1.0)
