@@ -22,7 +22,7 @@ summary = run(config, workers=4)
 law = summary.law
 
 print(f"m={M}, R={R}, rho=0 (theta=0 regime)")
-print(f"theory: center={law.center:.4f}, variance={law.variance:.6f}, rate {law.rate}")
+print(f"theory: center={law.center:.4f}, variance={law.variance:.6f}, rate {law.rho_seq.rate}")
 print(f"mean FDP          = {summary.mean_fdp:.6f}")
 print(f"scaled variance   = {summary.var_scaled:.6f}")
 print(f"variance ratio    = {summary.variance_ratio:.4f}  (MC se ~ {summary.mc_se_variance / law.variance:.4f})")

@@ -33,6 +33,6 @@ for theta in (-1.0, -0.5, 0.0, 1.0, 4.0, 10.0):
     print(f"{theta:8.1f} {law.variance:12.6f} {note:>18}")
 
 law_ii = asymptotic_law(cdf, BH(ALPHA), PowerLaw(1.0, 0.5))
-print(f"\ndiverging regime (e.g. rho_m = m^-1/2): rate {law_ii.rate},")
+print(f"\ndiverging regime (e.g. rho_m = m^-1/2): rate {law_ii.rho_seq.rate},")
 print(f"variance c^2 = {law_ii.variance:.6f} -- the disturbance factor alone;")
 print(f"the e.c.d.f. component sigma^2 = {law_ii.sigma2:.6f} no longer contributes.")

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _ROOT_RTOL = 4 * float(np.finfo(float).eps)  # a float keeps Brent's roots floats
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 _RESIDUAL_TOL = 1e-12
 _NEAR_ONE = ("alpha={!r} is within about (1 - pi0) * 1e-10 of 1 at pi0={!r}: t* then lies "
              "within 1e-10 of 1, where its sign-pattern check has no room")
@@ -231,6 +231,7 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = float(alpha)
 
     def h(t):
         v = cdf(t) - t / alpha
@@ -323,11 +324,12 @@ def fluctuation_weights(
             f"pi0 * t* underflows below the normal floats at t_star={t_star!r}, "
             f"pi0={cdf.pi0!r}"
         )
+    t_star = float(t_star)
     q = cdf.fdp_limit(t_star)
     w = q * (1.0 - q)
     z0, z1 = w / t_star, -w / cdf.alt_cdf(t_star)
     if t_dot is not None:
-        qdot = cdf.fdp_limit_deriv(t_star)
+        qdot, t_dot = cdf.fdp_limit_deriv(t_star), float(t_dot)
         z0 += qdot * cdf.pi0 * t_dot
         z1 += qdot * (1.0 - cdf.pi0) * t_dot
     return z0, z1
@@ -353,6 +355,7 @@ def variance_components(
     that rounds to 0 is a zero case-(ii) variance, for which a run skips
     its KS.
     """
+    t_star, z0, z1 = float(t_star), float(z0), float(z1)
     z = phi_upper_inv(t_star)
     c = z0 * std_normal_density(z) + z1 * std_normal_density(z - cdf.mu)
     g1 = cdf.alt_cdf(t_star)
@@ -374,14 +377,14 @@ class AsymptoticLaw:
     correlation sequence ``rho_seq``.
 
     The record holds what the law is made of: the sequence, t*, the
-    mixture and the two variance components.  The sequence names the
-    regime, theta and the rate a_m, and turns (sigma2, c_coef) into the
-    variance: regime "case_i" means m*rho_m -> theta finite and
-    a_m = sqrt(m) with variance sigma2 + theta * c_coef**2; regime
-    "case_ii" means m*rho_m -> inf with rho_m -> 0, a_m = rho_m**-0.5 and
-    variance c_coef**2.  The center is the mixture's limiting FDP at t*,
-    computed on access; for BH it equals pi0 * alpha.  A law is built only
-    with a variance its sequence accepts.
+    mixture and the two variance components.  The sequence holds the
+    regime, theta and the rate a_m, which a caller reads from
+    ``law.rho_seq``, and turns (sigma2, c_coef) into the variance: regime
+    "case_i" means m*rho_m -> theta finite and a_m = sqrt(m) with variance
+    sigma2 + theta * c_coef**2; regime "case_ii" means m*rho_m -> inf with
+    rho_m -> 0, a_m = rho_m**-0.5 and variance c_coef**2.  The center is
+    the mixture's limiting FDP at t*, computed on access; for BH it equals
+    pi0 * alpha.  A law is built only with a variance its sequence accepts.
     """
 
     rho_seq: object  # the correlation sequence, ThetaOverM or PowerLaw
@@ -401,29 +404,17 @@ class AsymptoticLaw:
     def variance(self) -> float:
         return self.rho_seq.variance(self.sigma2, self.c_coef)
 
-    @property
-    def regime(self) -> str:
-        return self.rho_seq.regime
-
-    @property
-    def theta(self) -> Optional[float]:
-        return self.rho_seq.theta
-
-    @property
-    def rate(self) -> str:
-        return self.rho_seq.rate
-
     def to_dict(self) -> dict:
         return {
-            "regime": self.regime,
-            "theta": self.theta,
+            "regime": self.rho_seq.regime,
+            "theta": self.rho_seq.theta,
             "t_star": self.t_star,
             "center": self.center,
             "c_coef": self.c_coef,
             "c_squared": self.c_coef**2,
             "sigma2": self.sigma2,
             "variance": self.variance,
-            "rate": self.rate,
+            "rate": self.rho_seq.rate,
         }
 
 
@@ -479,6 +470,7 @@ def ecdf_limit_cov(cdf: MixtureCdf, theta: float, group: str, s: float, t: float
         raise ParameterError(f"s, t must lie in (0, 1), got {(s, t)!r}")
     if not (theta >= -1.0 and math.isfinite(theta)):
         raise ParameterError(f"theta must be finite and >= -1, got {theta!r}")
+    s, t, theta = float(s), float(t), float(theta)
     if group == "null":
         bridge, shift = (min(s, t) - s * t) / cdf.pi0, 0.0
     elif group == "alt":

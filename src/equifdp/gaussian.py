@@ -47,7 +47,6 @@ __all__ = ["phi_upper", "phi_upper_inv", "std_normal_density"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_DENSITY_ZERO_FROM = 40.0
 
 
 def _each(f, t):
@@ -92,18 +91,18 @@ def phi_upper_inv(t):
 def std_normal_density(z):
     """Standard normal density (2*pi)**-0.5 * exp(-z**2 / 2).
 
-    Takes a float or an array.  Always positive.  Where a signed
-    derivative of the upper-tail function is needed, the caller applies the
-    minus sign explicitly: d/dz P(Z >= z) is ``-std_normal_density(z)``.
+    Takes a float or an array.  Nonnegative: the formula itself underflows
+    to 0.0 from |z| = 38.6; nothing clamps z.  Where a signed derivative of
+    the upper-tail function is needed, the caller applies the minus sign
+    explicitly: d/dz P(Z >= z) is ``-std_normal_density(z)``.
     """
     if type(z) is not float:
         return _each(std_normal_density, z)
     if not math.isfinite(z):
         raise ParameterError(f"z must be finite, got {z!r}")
-    # |z| is clamped so the square cannot overflow; the density is 0.0 from
-    # |z| = 38.6
-    a = min(abs(z), _DENSITY_ZERO_FROM)
-    return _INV_SQRT_2PI * float(np.exp(-0.5 * a * a))
+    # the formula underflows to 0.0 from |z| = 38.6; past |z| of about 1.3e154
+    # z * z is inf on Python floats, without a warning, and np.exp(-inf) is 0.0
+    return _INV_SQRT_2PI * float(np.exp(-0.5 * z * z))
 
 
 # smallest/largest p-values kept after clamping

@@ -241,7 +241,7 @@ class FixedRho:
     FDP in this regime; the oracle transform is the supported path."""
 
     rho: float
-    regime = rate = theta = None
+    regime = None
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
@@ -385,8 +385,10 @@ def _draw_blocks(params, seed: int, first: int, n: int):
             yield lo, hi, params.transform(x)
 
 
-def sample(params: ModelParams, stream: RngStream) -> Sample:
-    """Draw one instance of the model, nulls first: the one row of
-    :func:`_draw_blocks` from `stream`, with its truth labels and p-values."""
+def sample(params, stream: RngStream) -> Sample:
+    """Draw one instance of the model of `params` (ModelParams or
+    OracleParams), nulls first: the one row of :func:`_draw_blocks` from
+    `stream`, rescaled by OracleParams, with the truth labels of
+    params.base and the p-values."""
     x = next(_draw_blocks(params, stream.seed, stream.stream_id, 1))[2][0]
-    return Sample(tau=np.arange(params.m) >= params.m0, x=x, p=_p_values(x))
+    return Sample(tau=np.arange(params.base.m) >= params.base.m0, x=x, p=_p_values(x))

@@ -528,7 +528,7 @@ class TestAsymptoticLaw:
         law = asymptotic_law(cdf, BH(0.2), ThetaOverM(0.0))
         sigma2_cf, _ = bh_closed_forms(0.5, 0.2, bh_fixed_point(cdf, 0.2))
         assert law.variance == pytest.approx(sigma2_cf, rel=1e-10)
-        assert law.rate == "sqrt(m)"
+        assert law.rho_seq.rate == "sqrt(m)"
         assert abs(law.center - 0.1) <= 1e-12
 
     def test_theta_shifts_variance_by_c_squared(self):
@@ -546,7 +546,7 @@ class TestAsymptoticLaw:
         a = asymptotic_law(cdf, BH(0.2), PowerLaw(1.0, 0.5))
         b = asymptotic_law(cdf, BH(0.2), PowerLaw(3.0, 0.25))
         assert a.variance == b.variance == a.c_coef**2
-        assert a.rate == "rho_m**-0.5"
+        assert a.rho_seq.rate == "rho_m**-0.5"
 
     def test_a_negative_case_i_variance_fails_when_the_law_is_built(self):
         cdf = MixtureCdf(0.5, 2.0)
@@ -758,6 +758,35 @@ def test_no_law_takes_the_array_adapter(monkeypatch):
     assert len(laws) == 433
     for law in laws:
         law.to_dict()
+
+
+def test_numpy_scalars_at_the_entry_points_run_the_float_path(monkeypatch):
+    # a numpy float64 argument is converted to a Python float once, so it
+    # never reaches the array adapter and the result is a Python float
+    cdf = MixtureCdf(0.5, 2.0)
+    t = bh_fixed_point(cdf, 0.2)
+    t_dot = BH(0.2).t_dot(cdf, t)
+    z0, z1 = fluctuation_weights(cdf, t, t_dot)
+    cases = [
+        (bh_fixed_point, (cdf, 0.2)),
+        (fluctuation_weights, (cdf, t, t_dot)),
+        (fluctuation_weights, (cdf, 0.01)),
+        (variance_components, (cdf, t, z0, z1)),
+        (ecdf_limit_cov, (cdf, 1.0, "null", 0.2, 0.7)),
+        (ecdf_limit_cov, (cdf, 1.0, "alt", 0.7, 0.2)),
+    ]
+    wants = [f(*args) for f, args in cases]
+
+    def fail(f, t):
+        raise AssertionError(f"{f!r} took the array adapter on {t!r}")
+
+    monkeypatch.setattr(gaussian, "_each", fail)
+    monkeypatch.setattr(asymptotics, "_each", fail)
+    for (f, args), want in zip(cases, wants):
+        got = f(*[np.float64(a) if type(a) is float else a for a in args])
+        values = got if isinstance(got, tuple) else (got,)
+        assert all(type(v) is float for v in values), (f.__name__, got)
+        assert got == want
 
 
 class TestLimitCov:

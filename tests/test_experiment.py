@@ -138,7 +138,7 @@ class TestRunBasics:
             seed=5,
         )
         s = run(cfg)
-        assert s.law is not None and s.law.theta == -1.0
+        assert s.law is not None and s.law.rho_seq.theta == -1.0
         assert s.a_m == np.sqrt(300)
 
     def test_case_ii_scale_factor(self):
@@ -416,7 +416,7 @@ class TestRateStudy:
             assert row.config == want.config
             for name in ("fdp", "thresholds", "rejected", "false_rejections"):
                 np.testing.assert_array_equal(getattr(row, name), getattr(want, name))
-            assert row.law == want.law and row.law.theta == -1.0
+            assert row.law == want.law and row.law.rho_seq.theta == -1.0
             assert row.a_m == math.sqrt(m)
 
 

@@ -233,3 +233,18 @@ class TestDensity:
         z = np.linspace(-38.0, 38.0, 7601)
         plain = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * z * z)
         np.testing.assert_array_equal(std_normal_density(z), plain)
+
+    def test_bits_of_the_plain_formula_over_the_float_range(self):
+        # log-spaced |z| from 1e-300 to 1.78e308, and the largest float.  The
+        # reference runs on Python floats, where z * z past about 1.3e154 is
+        # inf without a warning; the array product would raise a
+        # RuntimeWarning there
+        mags = [*np.logspace(-300.0, 308.25, 6001).tolist(), float(np.finfo(float).max)]
+        z = [-x for x in reversed(mags)] + mags
+        plain = [1.0 / math.sqrt(2.0 * math.pi) * float(np.exp(-0.5 * x * x)) for x in z]
+        assert plain[0] == plain[-1] == 0.0 and max(plain) == std_normal_density(1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [std_normal_density(x) for x in z]
+            np.testing.assert_array_equal(std_normal_density(np.array(z)), plain)
+        np.testing.assert_array_equal(got, plain)

@@ -22,6 +22,7 @@ from equifdp import (
     run,
     sample,
 )
+from equifdp.gaussian import _p_values
 from equifdp.model import _BLOCK_ELEMS, _draw_blocks
 
 # pinned with 60-digit bisection: fixed point of the mu/sqrt(0.7) mixture
@@ -48,6 +49,16 @@ class TestOracleParams:
         assert params.base is BASE
         rebuilt = OracleParams(ModelParams(m=1000, pi0=0.5, mu=2.0, rho=0.5))
         assert params.at(1000, 0.5) == rebuilt
+
+    def test_sample_draws_the_rescaled_row(self):
+        # row r of the oracle's blocks, with the truth labels of its base
+        params = OracleParams(ModelParams(m=100, pi0=0.5, mu=2.0, rho=0.3))
+        rows = draw_block(params, 11, 3)
+        for r, row in enumerate(rows):
+            s = sample(params, RngStream(11, r))
+            np.testing.assert_array_equal(s.x, row)
+            np.testing.assert_array_equal(s.tau, np.arange(100) >= params.base.m0)
+            np.testing.assert_array_equal(s.p, _p_values(row))
 
     @pytest.mark.parametrize("mu,rho", [(1e16, 0.3), (1e9, 1 - 1e-12), (1.7e308, 0.3)])
     def test_mu_beyond_the_rounding_bound_rejected(self, mu, rho):
@@ -222,8 +233,8 @@ class TestOracleLaw:
             MixtureCdf(0.5, 2.0 / np.sqrt(1.0 - 0.3)), BH(0.2), ThetaOverM(-1.0)
         )
         assert law == generic
-        assert law.theta == -1.0
-        assert law.regime == "case_i"
+        assert law.rho_seq.theta == -1.0
+        assert law.rho_seq.regime == "case_i"
 
     def test_closed_form_variance(self):
         # sqrt(m)-rate variance: pi0*a^2*(1-t)/t - pi0^2*a^2/(2*pi*t^2)e^{-q(t)^2}
