@@ -210,9 +210,8 @@ def bh_fixed_point(cdf: MixtureCdf, alpha: float) -> float:
     geometric points from the left end to t*/2 and negative at 8 even
     points from t* + (1 - t*)/20 to 1 - 1e-10.  The points only decide
     signs, so :func:`_sign_grid` builds them in closed form on Python
-    floats rather than as numpy's geomspace and linspace.  Every
-    evaluation of G is a Python float, so a fixed point never takes the
-    array adapter.
+    floats.  Every evaluation of G is a Python float, so a fixed point
+    never takes the array adapter.
 
     Brent's method is the in-package :func:`_brentq`, a port of scipy's, on
     plain floats, handed the values of h at the bracket ends that the

@@ -14,7 +14,9 @@ subcommand; explicit flags override it.  The output directory defaults to
 and the ``--out`` flag, in increasing precedence.
 
 Exit codes: 0 on completed computation, 2 on usage errors (a flag value the
-library rejects with a ParameterError included), 1 on runtime failures.
+library rejects with a ParameterError included), 1 on runtime failures.  An
+output directory that cannot be created or written, or a ``--config`` file
+that is not text, is a runtime failure reported as one ``error:`` line.
 Statistical tolerance violations are reported inside the JSON only, unless
 ``--check`` is given, which turns them into exit code 3.
 """
@@ -151,7 +153,11 @@ _BOOLEAN_KEYS = {"check", "case-ii"}  # the store_true flags
 def _config_tokens(path: str) -> list[str]:
     """Turn a flat key=value file into CLI tokens; keys mirror flag names."""
     tokens: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise EquifdpError(f"{path}: not a text file: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -329,18 +335,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _inject_config(parser, argv)
-    except (OSError, EquifdpError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    try:
+        args = parser.parse_args(_inject_config(parser, argv))
+        if getattr(args, "workers", 1) < 1:
+            parser.error(f"--workers must be >= 1, got {args.workers}")
         return args.handler(args)
     except ParameterError as exc:
         parser.error(str(exc))
-    except (EquifdpError, MemoryError) as exc:
+    except (OSError, EquifdpError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -287,7 +287,6 @@ class ProbeResult:
     """Per-replicate scaled e.c.d.f. deviations at grid points and their
     empirical covariance matrices for the null and alternative groups."""
 
-    grid: np.ndarray
     dev_null: np.ndarray
     dev_alt: np.ndarray
     cov_null: np.ndarray
@@ -333,7 +332,6 @@ def ecdf_covariance_probe(
     dev0 = root_m * (counts0 / m0 - grid)
     dev1 = root_m * (counts1 / (m - m0) - g1)
     return ProbeResult(
-        grid=grid,
         dev_null=dev0,
         dev_alt=dev1,
         cov_null=np.atleast_2d(np.cov(dev0.T)),
@@ -364,7 +362,7 @@ def check_tolerances(summary: ExperimentSummary) -> list[str]:
         crit = KS_CRIT_1PCT / math.sqrt(R)
         if summary.ks_statistic > crit:
             out.append(f"ks_statistic {summary.ks_statistic:.4f} above {crit:.4f}")
-    if summary.law is not None and summary.var_fdp is not None and R >= 2:
+    if summary.law is not None and summary.var_fdp is not None:
         band = 4.0 * math.sqrt(summary.var_fdp / R)
         if abs(summary.mean_fdp - summary.law.center) > band:
             out.append(

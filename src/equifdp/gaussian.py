@@ -81,8 +81,6 @@ def phi_upper_inv(t):
     """
     if type(t) is not float:
         return _each(phi_upper_inv, t)
-    if not math.isfinite(t):
-        raise ParameterError(f"t must be finite, got {t!r}")
     if not 0.0 < t < 1.0:
         raise ParameterError(f"t must lie strictly inside (0, 1), got {t!r}")
     return -_cs.ndtri(t)

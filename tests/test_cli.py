@@ -518,6 +518,60 @@ VALID_FLAGS = {
 }
 
 
+# a complete command line of each subcommand, output directory left out
+RUNNABLE = {
+    "simulate": "simulate --theta 0 " + VALID_FLAGS["simulate"],
+    "rate-study": "rate-study --theta 0 --m-grid 100,200,400 " + VALID_FLAGS["rate-study"],
+    "oracle": "oracle --rho 0.3 " + VALID_FLAGS["oracle"],
+    "theory": "theory --theta 0 " + VALID_FLAGS["theory"],
+}
+
+
+def assert_one_error_line(argv, capsys):
+    """The command returns exit code 1 and prints exactly one ``error:``
+    line on stderr."""
+    assert run_cli(argv) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+class TestRuntimeFailures:
+    """An output directory that cannot be made and a --config file that is
+    not text each end in one error line with exit code 1."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        """A directory path under a regular file, which mkdir cannot make
+        whatever the user's permissions."""
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        return regular / "sub"
+
+    def assert_nothing_written(self, blocked):
+        assert [p.name for p in blocked.parent.parent.iterdir()] == ["regular"]
+        assert blocked.parent.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "rate-study", "theory"])
+    def test_out_under_a_regular_file(self, command, blocked, capsys):
+        argv = RUNNABLE[command].split() + ["--out", str(blocked)]
+        assert str(blocked) in assert_one_error_line(argv, capsys)
+        self.assert_nothing_written(blocked)
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "rate-study"])
+    def test_env_outdir_under_a_regular_file(self, command, blocked, monkeypatch, capsys):
+        monkeypatch.setenv(cli.ENV_OUTDIR, str(blocked))
+        assert str(blocked) in assert_one_error_line(RUNNABLE[command].split(), capsys)
+        self.assert_nothing_written(blocked)
+
+    def test_config_file_that_is_not_text(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        err = assert_one_error_line(["simulate", "--config", str(cfg)], capsys)
+        assert f"{cfg}: not a text file" in err
+
+
 # one invalid value per row, added to the valid flags above, and the message
 # it must print: the library's, except for the unparsable --m-grid
 USAGE_ERRORS = [
