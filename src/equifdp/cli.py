@@ -7,18 +7,18 @@ Subcommands:
 * ``rate-study``  -- the same across an increasing grid of m values
 * ``oracle``      -- simulation with the fixed-rho rescaling applied
 
-Every run writes a ``config.json`` echo sufficient to reproduce it exactly.
-A flat key=value config file (keys mirror the long flag names) can seed any
-subcommand; explicit flags override it.  The output directory defaults to
-``./equifdp_out``, overridable by the ``EQUIFDP_OUTDIR`` environment variable
-and the ``--out`` flag, in increasing precedence.
+A run's ``config.json``, the ``config`` its ``summary.json`` records plus the
+command, version and workers, reproduces it exactly.  A flat key=value file
+(keys mirror the long flag names) can seed any subcommand; explicit flags
+override it.  The output directory (``./equifdp_out``, ``EQUIFDP_OUTDIR``,
+``--out``; the last given wins) is checked before a run and before ``theory`` prints.
 
 Exit codes: 0 on completed computation, 2 on usage errors (a flag value the
 library rejects with a ParameterError included), 1 on runtime failures.  An
 output directory that cannot be created or written, or a ``--config`` file
 that is not text, is a runtime failure reported as one ``error:`` line.
-Statistical tolerance violations are reported inside the JSON only, unless
-``--check`` is given, which turns them into exit code 3.
+The tolerance violations ``summary.json`` records set the exit code only
+under ``--check``, which turns them into exit code 3.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .errors import EquifdpError, ParameterError
 from .experiment import (
     ExperimentConfig,
     _write_json,
-    check_tolerances,
-    config_to_dict,
     rate_study,
     run,
     write_replicates_csv,
@@ -198,9 +196,12 @@ def _inject_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
 
 
 def _outdir(args) -> Path:
-    out = args.out or os.environ.get(ENV_OUTDIR) or DEFAULT_OUTDIR
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, not made yet; a non-directory in its way fails now."""
+    path = Path(args.out or os.environ.get(ENV_OUTDIR) or DEFAULT_OUTDIR)
+    resolved = path.resolve()
+    ancestor = next(p for p in (resolved, *resolved.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise NotADirectoryError(f"output directory {path}: {ancestor} is not a directory")
     return path
 
 
@@ -212,22 +213,6 @@ def _procedure_from(args) -> BH | FixedThreshold:
     bh = BH(args.alpha)  # checks --alpha even where --threshold replaces BH
     threshold = getattr(args, "threshold", None)
     return bh if threshold is None else FixedThreshold(threshold)
-
-
-def _regime_from(args, m: int):
-    """Map regime flags to (rho at this m, declared sequence or None)."""
-    if args.theta is not None:
-        seq = ThetaOverM(args.theta)
-    elif args.gamma is not None:
-        seq = PowerLaw(args.rho_coef, args.gamma)
-    elif args.rho == 0.0:
-        seq = ThetaOverM(0.0)
-    elif 0.0 < args.rho < 1.0:
-        seq = FixedRho(args.rho)
-    else:
-        # fixed negative or boundary rho: the model checks it; no declared regime
-        return args.rho, None
-    return seq.rho_at(m), seq
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -264,9 +249,10 @@ def _cmd_theory(args) -> int:
             "c_squared": c_cf**2,
             "variance": variance_cf,
         }
+    outdir = None if args.out is None else _outdir(args)
     print(json.dumps(report, indent=2))
-    if args.out is not None:
-        outdir = _outdir(args)
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "theory.json", report)
         echo = {"procedure": report["procedure"], "rho_seq": rho_seq.to_dict()}
         _echo_config(outdir, args, report["params"] | echo)
@@ -274,15 +260,26 @@ def _cmd_theory(args) -> int:
 
 
 def _config_from(args, m_grid) -> ExperimentConfig:
-    """The config of a run subcommand: rate-study starts at the first m of
-    its grid, and oracle fixes its regime."""
+    """The config of a run subcommand at m, the first m of a rate study's
+    grid: oracle, and a negative or boundary --rho, which the model checks,
+    declare no regime; every other regime flag declares the rho_seq giving rho."""
     m = args.m if m_grid is None else m_grid[0]
     if args.command == "oracle":
-        base = ModelParams(m=m, pi0=args.pi0, mu=args.mu, rho=args.rho)
-        params, rho_seq = OracleParams(base), None
+        rho_seq = None
+    elif args.theta is not None:
+        rho_seq = ThetaOverM(args.theta)
+    elif args.gamma is not None:
+        rho_seq = PowerLaw(args.rho_coef, args.gamma)
+    elif args.rho == 0.0:
+        rho_seq = ThetaOverM(0.0)
+    elif 0.0 < args.rho < 1.0:
+        rho_seq = FixedRho(args.rho)
     else:
-        rho, rho_seq = _regime_from(args, m)
-        params = ModelParams(m=m, pi0=args.pi0, mu=args.mu, rho=rho)
+        rho_seq = None
+    rho = args.rho if rho_seq is None else rho_seq.rho_at(m)
+    params = ModelParams(m=m, pi0=args.pi0, mu=args.mu, rho=rho)
+    if args.command == "oracle":
+        params = OracleParams(params)
     return ExperimentConfig(
         params=params,
         procedure=_procedure_from(args),
@@ -296,38 +293,31 @@ def _cmd_run(args) -> int:
     """simulate, oracle and rate-study: one run, or one per m of the grid."""
     m_grid = getattr(args, "m_grid", None)
     config = _config_from(args, m_grid)
-    # runs before the outdir is made: a law the library rejects is a usage error and writes nothing
+    outdir = _outdir(args)
+    # made after the run: a law the library rejects is a usage error and writes nothing
     if m_grid is None:
         summary = run(config, workers=args.workers)
-    else:
-        study = rate_study(config, m_grid, workers=args.workers)
-    outdir = _outdir(args)
-    echo = config_to_dict(config, m_grid)
-    _echo_config(outdir, args, echo | {"workers": args.workers})
-    if m_grid is None:
+        outdir.mkdir(parents=True, exist_ok=True)
         write_replicates_csv(summary, outdir / "replicates.csv")
-        violations = write_summary_json(summary, outdir / "summary.json")["tolerance_violations"]
-        failed, ratio = bool(violations), summary.variance_ratio
+        report = write_summary_json(summary, outdir / "summary.json")
+        violations, ratio = report["tolerance_violations"], summary.variance_ratio
+        failed = bool(violations)
         cause = summary.warnings[-1] if ratio is None and summary.law is not None else "no theory"
-        print(
+        line = (
             f"wrote {outdir}/summary.json: mean_fdp={summary.mean_fdp:.6f}"
             + (f" variance_ratio={ratio:.4f}" if ratio is not None else f" ({cause})")
             + (f" violations={violations}" if violations else "")
         )
     else:
+        study = rate_study(config, m_grid, workers=args.workers)
+        outdir.mkdir(parents=True, exist_ok=True)
         study.write_csv(outdir / "rate_study.csv")
-        violations = {str(s.m): check_tolerances(s) for s in study.rows}
-        _write_json(
-            outdir / "summary.json",
-            {
-                "version": __version__,
-                "config": echo,
-                "rows": study.table(),
-                "tolerance_violations": violations,
-            },
-        )
-        print(f"wrote {outdir}/rate_study.csv with {len(study.rows)} rows")
-        failed = any(violations.values())
+        report = study.to_dict()
+        _write_json(outdir / "summary.json", report)
+        failed = any(report["tolerance_violations"].values())
+        line = f"wrote {outdir}/rate_study.csv with {len(study.rows)} rows"
+    _echo_config(outdir, args, report["config"] | {"workers": args.workers})
+    print(line)
     return EXIT_CHECK_FAILED if args.check and failed else EXIT_OK
 
 

@@ -257,6 +257,16 @@ class RateStudyResult:
         table = self.table()
         _write_csv(path, list(table[0]), [[row[k] for row in table] for k in table[0]])
 
+    def to_dict(self) -> dict:
+        """The study's summary.json: row 0's config with the grid, the table
+        and each m's violations; field names are a frozen interface."""
+        return {
+            "version": __version__,
+            "config": config_to_dict(self.rows[0].config) | {"m_grid": [s.m for s in self.rows]},
+            "rows": self.table(),
+            "tolerance_violations": {str(s.m): check_tolerances(s) for s in self.rows},
+        }
+
 
 def rate_study(config: ExperimentConfig, m_grid, workers: int = 1) -> RateStudyResult:
     """Run the experiment on every m of `m_grid`, increasing with >= 3 points.
@@ -372,8 +382,8 @@ def check_tolerances(summary: ExperimentSummary) -> list[str]:
     return out
 
 
-def config_to_dict(config: ExperimentConfig, m_grid=None) -> dict:
-    """JSON-ready echo of a config; `m_grid` is the study's grid, None for a run."""
+def config_to_dict(config: ExperimentConfig) -> dict:
+    """JSON-ready echo of a config; `RateStudyResult.to_dict` fills in ``m_grid``."""
     base = config.params.base
     return {
         "m": base.m,
@@ -385,7 +395,7 @@ def config_to_dict(config: ExperimentConfig, m_grid=None) -> dict:
         "rho_seq": None if config.rho_seq is None else config.rho_seq.to_dict(),
         "replicates": config.replicates,
         "seed": config.seed,
-        "m_grid": None if m_grid is None else list(map(int, m_grid)),
+        "m_grid": None,
     }
 
 

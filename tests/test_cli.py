@@ -447,6 +447,16 @@ class TestRateStudyCommand:
         summary = load_json((out / "summary.json").read_text())
         assert [row["m"] for row in summary["rows"]] == [100, 200, 400]
 
+    def test_check_flag_turns_violations_into_exit_code(self, tmp_path, monkeypatch):
+        # the exit code reads the violations summary.json records, as simulate's does
+        monkeypatch.setattr(equifdp.experiment, "check_tolerances", lambda s: ["forced violation"])
+        out = tmp_path / "bad"
+        argv = RUNNABLE["rate-study"].split() + ["--out", str(out), "--check"]
+        assert run_cli(argv) == cli.EXIT_CHECK_FAILED
+        summary = load_json((out / "summary.json").read_text())
+        violations = summary["tolerance_violations"]
+        assert violations == {m: ["forced violation"] for m in ("100", "200", "400")}
+
 
 # (mu, rho) whose rounding in the oracle rescaling breaks the run at m = 1000:
 # variance ratio 124 and KS 0.75, variance ratio 1.110 and KS 0.055 (against
@@ -528,10 +538,11 @@ RUNNABLE = {
 
 
 def assert_one_error_line(argv, capsys):
-    """The command returns exit code 1 and prints exactly one ``error:``
-    line on stderr."""
+    """The command returns exit code 1, prints exactly one ``error:`` line
+    on stderr and nothing on stdout."""
     assert run_cli(argv) == cli.EXIT_RUNTIME
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     return err
@@ -539,12 +550,19 @@ def assert_one_error_line(argv, capsys):
 
 class TestRuntimeFailures:
     """An output directory that cannot be made and a --config file that is
-    not text each end in one error line with exit code 1."""
+    not text each end in one error line with exit code 1; an unusable
+    output directory is reported before any replicate runs."""
 
     @pytest.fixture
-    def blocked(self, tmp_path):
+    def blocked(self, tmp_path, monkeypatch):
         """A directory path under a regular file, which mkdir cannot make
-        whatever the user's permissions."""
+        whatever the user's permissions; a replicate run fails the test."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the outdir was checked")
+
+        monkeypatch.setattr(cli, "run", fail)
+        monkeypatch.setattr(equifdp.experiment, "run", fail)  # rate_study's rows
         regular = tmp_path / "regular"
         regular.write_text("")
         return regular / "sub"
@@ -570,6 +588,29 @@ class TestRuntimeFailures:
         cfg.write_bytes(b"\xff\xfe")
         err = assert_one_error_line(["simulate", "--config", str(cfg)], capsys)
         assert f"{cfg}: not a text file" in err
+
+
+# every regime flag, and --threshold, of the run subcommands
+ECHO_REGIMES = {
+    "simulate": ["--theta 4", "--gamma 0.5 --rho-coef 2", "--rho 0.3", "--rho 0",
+                 "--rho -0.001", "--rho 0.3 --threshold 0.05"],
+    "oracle": ["--rho 0.3"],
+}
+ECHO_REGIMES["rate-study"] = ECHO_REGIMES["simulate"]
+
+
+@pytest.mark.parametrize(
+    "command,regime", [(c, r) for c, regimes in ECHO_REGIMES.items() for r in regimes]
+)
+def test_config_json_echoes_the_summary_config(command, regime, tmp_path):
+    grid = ["--m-grid", "100,200,400"] if command == "rate-study" else []
+    argv = [command, *regime.split(), *grid, *VALID_FLAGS[command].split()]
+    assert run_cli(argv + ["--workers", "1", "--out", str(tmp_path)]) == 0
+    echo = load_json((tmp_path / "config.json").read_text())
+    assert (echo.pop("version"), echo.pop("command"), echo.pop("workers")) == (
+        equifdp.__version__, command, 1
+    )
+    assert echo == load_json((tmp_path / "summary.json").read_text())["config"]
 
 
 # one invalid value per row, added to the valid flags above, and the message
@@ -824,3 +865,14 @@ def test_version_flag(capsys):
         run_cli(["--version"])
     assert exc.value.code == 0
     assert "equifdp" in capsys.readouterr().out
+
+
+def test_module_entry_point(tmp_path):
+    # the module's __main__ guard, which runs outside the line tracer
+    src = str(Path(equifdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "equifdp.cli", "--version"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"equifdp {equifdp.__version__}\n"), proc.stderr
